@@ -15,6 +15,8 @@
 //!   power-of-two ladder, and re-starts its search when it detects a
 //!   communication *phase change* (a large shift in arrival rate). It
 //!   needs no iteration structure in the application.
+//!   [`PerDestController`] is the same steering engine handed the
+//!   destinations of a per-destination coalescer instead of one knob.
 //! * [`PicsTuner`] — the Charm++/PICS-style baseline (\[6\],\[7\] in the
 //!   paper): per application iteration it times a candidate configuration
 //!   and converges by comparing iteration times. This is the approach the

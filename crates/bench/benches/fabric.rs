@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rpx_net::{Fabric, LinkModel, Message, MessageKind};
+use rpx_net::{LinkModel, Message, MessageKind, SimTransport};
 
 fn pump_n_messages(model: LinkModel, n: usize, payload: usize) {
-    let fabric = Fabric::new(2, model);
+    let fabric = SimTransport::new(2, model);
     let a = fabric.port(0);
     let b = fabric.port(1);
     let received = Arc::new(AtomicU64::new(0));

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rpx_agas::Gid;
-use rpx_net::{Fabric, LinkModel};
+use rpx_net::{LinkModel, SimTransport};
 use rpx_parcel::{ActionId, ActionRegistry, Parcel, ParcelPort, SendPath};
 use rpx_threading::Scheduler;
 
@@ -54,7 +54,7 @@ fn bench_ingress(c: &mut Criterion) {
         for batched in [false, true] {
             let mode = if batched { "spawn_batch" } else { "spawn" };
             group.bench_with_input(BenchmarkId::new(mode, nparcels), &nparcels, |b, &n| {
-                let fabric = Fabric::new(2, LinkModel::zero());
+                let fabric = SimTransport::new(2, LinkModel::zero());
                 let actions = ActionRegistry::new();
                 let count = Arc::new(AtomicU64::new(0));
                 let cnt = Arc::clone(&count);

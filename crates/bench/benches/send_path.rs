@@ -13,8 +13,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rpx_agas::Gid;
-use rpx_coalesce::{Coalescer, CoalescingParams};
-use rpx_net::{Fabric, LinkModel};
+use rpx_coalesce::{Coalescer, CoalescingParams, FlushPolicy, ParamsHandle};
+use rpx_net::{LinkModel, SimTransport};
 use rpx_parcel::{ActionId, ActionRegistry, Parcel, ParcelPort, SendPath};
 use rpx_util::TimerService;
 
@@ -42,7 +42,7 @@ fn bench_send_path(c: &mut Criterion) {
             BenchmarkId::new("send_parcel", nparcels),
             &nparcels,
             |b, &n| {
-                let fabric = Fabric::new(2, LinkModel::zero());
+                let fabric = SimTransport::new(2, LinkModel::zero());
                 let actions = ActionRegistry::new();
                 let act = actions.register("bench", Arc::new(|_| Ok(Bytes::new())));
                 let p0 = ParcelPort::new(0, Arc::new(fabric.port(0)), Arc::clone(&actions));
@@ -53,7 +53,9 @@ fn bench_send_path(c: &mut Criterion) {
                 if n > 1 {
                     let coalescer = Coalescer::new(
                         "bench",
-                        CoalescingParams::new(n, Duration::from_secs(10)),
+                        ParamsHandle::new(CoalescingParams::new(n, Duration::from_secs(10))),
+                        FlushPolicy::Append,
+                        false,
                         timer,
                         Arc::clone(&p0) as Arc<dyn SendPath>,
                     );

@@ -7,7 +7,7 @@
 //! benchmark id, so CI (and anyone locally) gets a one-screen verdict:
 //!
 //! ```text
-//! repro bench-compare BENCH_shm.json            # vs BENCH_baseline.json
+//! repro bench-compare shm.json service.json    # vs BENCH_baseline.json
 //! repro bench-compare --baseline old.json new.json
 //! ```
 //!

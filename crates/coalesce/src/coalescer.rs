@@ -6,17 +6,19 @@
 //! [`ParcelInterceptor`] interface — the RPX analogue of flagging an
 //! action with `HPX_ACTION_USES_MESSAGE_COALESCING`.
 //!
-//! Two parameter-sharing modes exist:
+//! [`Coalescer::new`] is the only constructor; its `per_destination`
+//! argument picks one of two parameter-sharing modes, and
+//! `Coalescer::dest_for` is the only place that choice is read:
 //!
-//! * **Global** (the paper's setup, and the default): every destination
-//!   queue reads one shared [`ParamsHandle`] and records into one shared
+//! * **Global** (the paper's setup): every destination queue reads one
+//!   shared [`ParamsHandle`] and records into one shared
 //!   [`CoalescingCounters`] — one knob per action.
-//! * **Per-destination** ([`Coalescer::per_destination`]): each
-//!   destination owns a private [`ParamsHandle`] (seeded from the shared
-//!   action-level handle) and private [`CoalescingCounters`] that forward
-//!   to the action-level aggregate. A per-destination adaptive controller
-//!   (`rpx-adaptive`) can then steer a hot peer and a cold peer to
-//!   different operating points simultaneously.
+//! * **Per-destination**: each destination owns a private
+//!   [`ParamsHandle`] (seeded from the shared action-level handle) and
+//!   private [`CoalescingCounters`] that forward to the action-level
+//!   aggregate. A per-destination adaptive controller (`rpx-adaptive`)
+//!   can then steer a hot peer and a cold peer to different operating
+//!   points simultaneously.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,7 +30,7 @@ use rpx_parcel::{Parcel, ParcelInterceptor, SendPath};
 use rpx_util::TimerService;
 
 use crate::counters::CoalescingCounters;
-use crate::params::{CoalescingParams, ParamsHandle};
+use crate::params::ParamsHandle;
 use crate::queue::{CoalescingQueue, FlushPolicy};
 
 /// Everything one destination owns: its queue plus the parameter handle
@@ -55,58 +57,18 @@ pub struct Coalescer {
 
 impl Coalescer {
     /// Create a coalescer for `action_name` emitting through `path`.
-    pub fn new(
-        action_name: &str,
-        params: CoalescingParams,
-        timer: Arc<TimerService>,
-        path: Arc<dyn SendPath>,
-    ) -> Arc<Self> {
-        Self::with_handle(action_name, ParamsHandle::new(params), timer, path)
-    }
-
-    /// Create a coalescer sharing an existing parameter handle (used when
-    /// several localities' coalescers are steered by one global knob, as
-    /// in the paper's parameter sweeps).
-    pub fn with_handle(
-        action_name: &str,
-        params: ParamsHandle,
-        timer: Arc<TimerService>,
-        path: Arc<dyn SendPath>,
-    ) -> Arc<Self> {
-        Self::with_handle_policy(action_name, params, FlushPolicy::Append, timer, path)
-    }
-
-    /// Create a coalescer with an explicit per-destination flush policy.
     ///
-    /// [`FlushPolicy::Mailbox`] is what
+    /// `params` is the action-level handle; pass a clone of an existing
+    /// handle to steer several localities' coalescers with one knob, as
+    /// in the paper's parameter sweeps. `policy` is what every
+    /// destination queue does with a new parcel
+    /// ([`FlushPolicy::Mailbox`] is what
     /// [`DeliveryClass::Coalesce`](rpx_parcel::DeliveryClass::Coalesce)
-    /// actions install: one newest-wins slot per destination.
-    pub fn with_handle_policy(
-        action_name: &str,
-        params: ParamsHandle,
-        policy: FlushPolicy,
-        timer: Arc<TimerService>,
-        path: Arc<dyn SendPath>,
-    ) -> Arc<Self> {
-        Self::build(action_name, params, policy, false, timer, path)
-    }
-
-    /// Create a coalescer in **per-destination** mode: every destination
-    /// gets a private parameter handle seeded from the current value of
-    /// `params` plus private counters forwarding to the action-level
-    /// aggregate, so each (action, destination) pair can be steered
-    /// independently.
-    pub fn per_destination(
-        action_name: &str,
-        params: ParamsHandle,
-        policy: FlushPolicy,
-        timer: Arc<TimerService>,
-        path: Arc<dyn SendPath>,
-    ) -> Arc<Self> {
-        Self::build(action_name, params, policy, true, timer, path)
-    }
-
-    fn build(
+    /// actions install). With `per_destination` set, every destination
+    /// gets a private handle seeded from the current value of `params`
+    /// plus private counters forwarding to the action-level aggregate;
+    /// otherwise all destinations share `params` and one counter set.
+    pub fn new(
         action_name: &str,
         params: ParamsHandle,
         policy: FlushPolicy,
@@ -242,6 +204,7 @@ impl ParcelInterceptor for Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CoalescingParams;
     use bytes::Bytes;
     use parking_lot::Mutex;
     use rpx_agas::Gid;
@@ -270,11 +233,26 @@ mod tests {
     }
 
     fn coalescer(params: CoalescingParams) -> (Arc<Coalescer>, Arc<MockPath>, Arc<TimerService>) {
+        coalescer_with(params, FlushPolicy::Append, false)
+    }
+
+    fn coalescer_with(
+        params: CoalescingParams,
+        policy: FlushPolicy,
+        per_destination: bool,
+    ) -> (Arc<Coalescer>, Arc<MockPath>, Arc<TimerService>) {
         let path = Arc::new(MockPath {
             batches: Mutex::new(Vec::new()),
         });
         let timer = Arc::new(TimerService::new("coalescer-test"));
-        let c = Coalescer::new("act", params, Arc::clone(&timer), path.clone() as _);
+        let c = Coalescer::new(
+            "act",
+            ParamsHandle::new(params),
+            policy,
+            per_destination,
+            Arc::clone(&timer),
+            path.clone() as _,
+        );
         (c, path, timer)
     }
 
@@ -340,18 +318,12 @@ mod tests {
 
     #[test]
     fn mailbox_policy_applies_per_destination() {
-        let path = Arc::new(MockPath {
-            batches: Mutex::new(Vec::new()),
-        });
-        let timer = Arc::new(TimerService::new("coalescer-mailbox"));
-        let c = Coalescer::with_handle_policy(
-            "sync",
-            ParamsHandle::new(CoalescingParams::new(100, Duration::from_secs(10))),
-            crate::queue::FlushPolicy::Mailbox,
-            Arc::clone(&timer),
-            path.clone() as _,
+        let (c, path, _t) = coalescer_with(
+            CoalescingParams::new(100, Duration::from_secs(10)),
+            FlushPolicy::Mailbox,
+            false,
         );
-        assert_eq!(c.policy(), crate::queue::FlushPolicy::Mailbox);
+        assert_eq!(c.policy(), FlushPolicy::Mailbox);
         // Ten updates to each of two destinations: one slot each.
         for i in 0..10 {
             c.submit(parcel(i, 1));
@@ -370,16 +342,10 @@ mod tests {
 
     #[test]
     fn per_destination_params_are_independent() {
-        let path = Arc::new(MockPath {
-            batches: Mutex::new(Vec::new()),
-        });
-        let timer = Arc::new(TimerService::new("coalescer-perdest"));
-        let c = Coalescer::per_destination(
-            "act",
-            ParamsHandle::new(CoalescingParams::new(100, Duration::from_secs(10))),
+        let (c, path, _t) = coalescer_with(
+            CoalescingParams::new(100, Duration::from_secs(10)),
             FlushPolicy::Append,
-            Arc::clone(&timer),
-            path.clone() as _,
+            true,
         );
         assert!(c.is_per_destination());
         // Seeded from the shared handle...
@@ -402,16 +368,10 @@ mod tests {
 
     #[test]
     fn per_destination_counters_split_and_aggregate() {
-        let path = Arc::new(MockPath {
-            batches: Mutex::new(Vec::new()),
-        });
-        let timer = Arc::new(TimerService::new("coalescer-perdest-counters"));
-        let c = Coalescer::per_destination(
-            "act",
-            ParamsHandle::new(CoalescingParams::new(2, Duration::from_secs(10))),
+        let (c, _path, _t) = coalescer_with(
+            CoalescingParams::new(2, Duration::from_secs(10)),
             FlushPolicy::Append,
-            Arc::clone(&timer),
-            path.clone() as _,
+            true,
         );
         for i in 0..6 {
             c.submit(parcel(i, 1));

@@ -1,10 +1,14 @@
 //! Runtime-level coalescing control.
 //!
-//! [`CoalescingControl`] is what `enable_coalescing` returns: one live
-//! knob (shared [`ParamsHandle`]) steering the coalescers installed on
-//! every locality for one action, plus access to the per-locality
-//! `/coalescing/*` counters and the hookup point for the adaptive
-//! controller.
+//! [`CoalescingControl`] is what `enable_coalescing` and
+//! `enable_coalescing_per_destination` return: one live knob (shared
+//! [`ParamsHandle`]) steering the coalescers installed on every locality
+//! for one action, plus access to the per-locality `/coalescing/*`
+//! counters and the hookup point for the adaptive controller.
+//!
+//! Every coalescer the runtime installs — request side, continuation
+//! side, and the `DeliveryClass::Coalesce` mailbox — goes through
+//! `install_coalescer`: build, publish counters, intercept the action.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +18,34 @@ use rpx_coalesce::{Coalescer, CoalescingCounters, CoalescingParams, FlushPolicy,
 use rpx_parcel::{ActionId, SendPath};
 
 use crate::error::RuntimeError;
-use crate::runtime::Runtime;
+use crate::runtime::{Locality, Runtime};
+
+/// Build a coalescer for action `id` (`name`) on `locality`, register its
+/// `/coalescing/*` counters there and route the action's outgoing parcels
+/// through it.
+pub(crate) fn install_coalescer(
+    rt: &Runtime,
+    locality: &Locality,
+    name: &str,
+    id: ActionId,
+    params: ParamsHandle,
+    policy: FlushPolicy,
+    per_destination: bool,
+) -> Arc<Coalescer> {
+    let coalescer = Coalescer::new(
+        name,
+        params,
+        policy,
+        per_destination,
+        Arc::clone(rt.timer()),
+        Arc::clone(&locality.port) as Arc<dyn SendPath>,
+    );
+    coalescer.register_counters(&locality.registry);
+    locality
+        .port
+        .set_interceptor(id, Arc::clone(&coalescer) as _);
+    coalescer
+}
 
 /// Live control over one action's coalescing across all localities
 /// hosted by this process (every locality in the default mode, the
@@ -24,11 +55,9 @@ pub struct CoalescingControl {
     action_id: ActionId,
     continuation_id: Option<ActionId>,
     params: ParamsHandle,
-    /// Hosted locality ids, aligned with `per_locality`.
-    hosted_ids: Vec<u32>,
-    per_locality: Vec<Arc<Coalescer>>,
+    /// The request-side coalescer of each hosted locality, by locality id.
+    per_locality: Vec<(u32, Arc<Coalescer>)>,
     continuation_coalescers: Vec<Arc<Coalescer>>,
-    per_destination: bool,
 }
 
 impl std::fmt::Debug for CoalescingControl {
@@ -56,47 +85,27 @@ impl CoalescingControl {
             .ok_or_else(|| RuntimeError::UnknownAction(action_name.to_string()))?;
         let continuation_id = hosted[0].port.actions().lookup("rpx::set-lco");
         let handle = ParamsHandle::new(params);
-        let build = |name: &str, locality: &crate::runtime::Locality| {
-            if per_destination {
-                Coalescer::per_destination(
-                    name,
-                    handle.clone(),
-                    FlushPolicy::Append,
-                    Arc::clone(rt.timer()),
-                    Arc::clone(&locality.port) as Arc<dyn SendPath>,
-                )
-            } else {
-                Coalescer::with_handle(
-                    name,
-                    handle.clone(),
-                    Arc::clone(rt.timer()),
-                    Arc::clone(&locality.port) as Arc<dyn SendPath>,
-                )
-            }
+        let install = |locality: &Locality, name: &str, id: ActionId| {
+            install_coalescer(
+                rt,
+                locality,
+                name,
+                id,
+                handle.clone(),
+                FlushPolicy::Append,
+                per_destination,
+            )
         };
-        let mut hosted_ids = Vec::with_capacity(hosted.len());
         let mut per_locality = Vec::with_capacity(hosted.len());
         let mut continuation_coalescers = Vec::new();
         for locality in hosted {
-            hosted_ids.push(locality.id());
-            let coalescer = build(action_name, locality);
-            coalescer.register_counters(&locality.registry);
-            locality
-                .port
-                .set_interceptor(action_id, Arc::clone(&coalescer) as _);
-            per_locality.push(coalescer);
-
+            per_locality.push((locality.id(), install(locality, action_name, action_id)));
             // Results travelling back as continuation parcels are as
             // fine-grained as the requests; coalesce them under the same
             // knob (in HPX the set-value continuation action is flagged
             // alongside the application action).
             if let Some(cont_id) = continuation_id {
-                let cont = build("rpx::set-lco", locality);
-                cont.register_counters(&locality.registry);
-                locality
-                    .port
-                    .set_interceptor(cont_id, Arc::clone(&cont) as _);
-                continuation_coalescers.push(cont);
+                continuation_coalescers.push(install(locality, "rpx::set-lco", cont_id));
             }
         }
         Ok(CoalescingControl {
@@ -104,17 +113,17 @@ impl CoalescingControl {
             action_id,
             continuation_id,
             params: handle,
-            hosted_ids,
             per_locality,
             continuation_coalescers,
-            per_destination,
         })
     }
 
     /// Whether each destination owns independent parameters and counters
     /// (installed via `enable_coalescing_per_destination`).
     pub fn is_per_destination(&self) -> bool {
-        self.per_destination
+        // `install` builds every hosted locality's coalescer in one mode.
+        let (_, first) = &self.per_locality[0];
+        first.is_per_destination()
     }
 
     /// The request-side coalescer installed on one hosted locality
@@ -122,8 +131,8 @@ impl CoalescingControl {
     /// per-destination [`ParamsHandle`]s and counters in per-destination
     /// mode.
     pub fn coalescer(&self, locality: u32) -> Option<&Arc<Coalescer>> {
-        let pos = self.hosted_ids.iter().position(|&id| id == locality)?;
-        self.per_locality.get(pos)
+        let (_, coalescer) = self.per_locality.iter().find(|(id, _)| *id == locality)?;
+        Some(coalescer)
     }
 
     /// The controlled action's name.
@@ -160,11 +169,7 @@ impl CoalescingControl {
     /// including queued continuation results.
     pub fn flush(&self) {
         use rpx_parcel::ParcelInterceptor;
-        for c in self
-            .per_locality
-            .iter()
-            .chain(&self.continuation_coalescers)
-        {
+        for c in self.coalescers() {
             c.flush();
         }
     }
@@ -172,18 +177,19 @@ impl CoalescingControl {
     /// Parcels currently buffered across all localities (requests and
     /// continuation results).
     pub fn pending(&self) -> usize {
-        self.per_locality
-            .iter()
-            .chain(&self.continuation_coalescers)
-            .map(|c| c.pending())
-            .sum()
+        self.coalescers().map(|c| c.pending()).sum()
+    }
+
+    /// Every installed coalescer: request side, then continuation side.
+    fn coalescers(&self) -> impl Iterator<Item = &Arc<Coalescer>> {
+        let requests = self.per_locality.iter().map(|(_, c)| c);
+        requests.chain(&self.continuation_coalescers)
     }
 
     /// The `/coalescing/*` counters of one hosted locality's coalescer
     /// (`None` for remote ranks in multi-process mode).
     pub fn counters(&self, locality: u32) -> Option<&Arc<CoalescingCounters>> {
-        let pos = self.hosted_ids.iter().position(|&id| id == locality)?;
-        self.per_locality.get(pos).map(|c| c.counters())
+        self.coalescer(locality).map(|c| c.counters())
     }
 
     /// Remove this control's interceptors from every hosted locality
@@ -216,36 +222,6 @@ impl CoalescingControl {
         )
     }
 
-    /// Like [`CoalescingControl::start_adaptive`], but driven by the
-    /// locality's [`rpx_counters::TelemetryService`] (started on demand
-    /// with `sampling` as the interval): the controller's windowed Eq. 4
-    /// overhead is read from the sampled ring buffers, so its decisions
-    /// use the same instantaneous series the telemetry exports record.
-    pub fn start_adaptive_sampled(
-        &self,
-        rt: &Runtime,
-        locality: u32,
-        sampling: Duration,
-        config: AdaptiveConfig,
-    ) -> OverheadController {
-        let service = rt
-            .start_telemetry(
-                locality,
-                rpx_counters::TelemetryConfig {
-                    interval: sampling,
-                    patterns: vec!["/threads/*".to_string(), "/coalescing/*".to_string()],
-                    ..rpx_counters::TelemetryConfig::default()
-                },
-            )
-            .expect("locality in range");
-        OverheadController::start_sampled(
-            service,
-            self.params.clone(),
-            Arc::clone(self.counters(locality).expect("locality in range")),
-            config,
-        )
-    }
-
     /// Start the per-destination adaptive controller for `locality`'s
     /// coalescer: one hill-climbing core per destination, each steering
     /// that destination's own [`ParamsHandle`] from its private parcel
@@ -259,42 +235,11 @@ impl CoalescingControl {
         config: AdaptiveConfig,
     ) -> PerDestController {
         assert!(
-            self.per_destination,
+            self.is_per_destination(),
             "start_adaptive_per_dest requires enable_coalescing_per_destination"
         );
         PerDestController::start(
             rt.metrics(locality),
-            Arc::clone(self.coalescer(locality).expect("locality in range")),
-            config,
-        )
-    }
-
-    /// Like [`CoalescingControl::start_adaptive_per_dest`], but reading
-    /// the windowed Eq. 4 overhead from the locality's sampled telemetry
-    /// ring buffers (started on demand with `sampling` as the interval).
-    pub fn start_adaptive_per_dest_sampled(
-        &self,
-        rt: &Runtime,
-        locality: u32,
-        sampling: Duration,
-        config: AdaptiveConfig,
-    ) -> PerDestController {
-        assert!(
-            self.per_destination,
-            "start_adaptive_per_dest_sampled requires enable_coalescing_per_destination"
-        );
-        let service = rt
-            .start_telemetry(
-                locality,
-                rpx_counters::TelemetryConfig {
-                    interval: sampling,
-                    patterns: vec!["/threads/*".to_string(), "/coalescing/*".to_string()],
-                    ..rpx_counters::TelemetryConfig::default()
-                },
-            )
-            .expect("locality in range");
-        PerDestController::start_sampled(
-            service,
             Arc::clone(self.coalescer(locality).expect("locality in range")),
             config,
         )
@@ -447,28 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_adaptive_controller_attaches_and_stops() {
-        let rt = test_runtime();
-        let _act = rt.action("ads").register(|(): ()| ());
-        let control = rt
-            .enable_coalescing("ads", CoalescingParams::default())
-            .unwrap();
-        let controller = control.start_adaptive_sampled(
-            &rt,
-            0,
-            Duration::from_millis(1),
-            AdaptiveConfig::default(),
-        );
-        std::thread::sleep(Duration::from_millis(50));
-        let _decisions = controller.stop();
-        // The controller started the locality's telemetry service.
-        let svc = rt.telemetry(0).expect("telemetry started");
-        assert!(svc.is_running());
-        rt.shutdown();
-        assert!(!svc.is_running(), "shutdown must stop the sampler");
-    }
-
-    #[test]
     fn per_destination_control_splits_params_and_keeps_aggregates() {
         let rt = Runtime::new(RuntimeConfig {
             localities: 3,
@@ -521,24 +444,6 @@ mod tests {
             .enable_coalescing_per_destination("pda", CoalescingParams::default())
             .unwrap();
         let controller = control.start_adaptive_per_dest(&rt, 0, AdaptiveConfig::default());
-        std::thread::sleep(Duration::from_millis(50));
-        let _decisions = controller.stop();
-        rt.shutdown();
-    }
-
-    #[test]
-    fn per_dest_sampled_adaptive_controller_attaches_and_stops() {
-        let rt = test_runtime();
-        let _act = rt.action("pdas").register(|(): ()| ());
-        let control = rt
-            .enable_coalescing_per_destination("pdas", CoalescingParams::default())
-            .unwrap();
-        let controller = control.start_adaptive_per_dest_sampled(
-            &rt,
-            0,
-            Duration::from_millis(1),
-            AdaptiveConfig::default(),
-        );
         std::thread::sleep(Duration::from_millis(50));
         let _decisions = controller.stop();
         rt.shutdown();

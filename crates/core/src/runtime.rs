@@ -1152,15 +1152,15 @@ impl Runtime {
                 coalesce_interval,
             ));
             for locality in &self.localities {
-                let mailbox = rpx_coalesce::Coalescer::with_handle_policy(
+                crate::coalescing::install_coalescer(
+                    self,
+                    locality,
                     name,
+                    id,
                     params.clone(),
                     rpx_coalesce::FlushPolicy::Mailbox,
-                    Arc::clone(&self.timer),
-                    Arc::clone(&locality.port) as Arc<dyn rpx_parcel::SendPath>,
+                    false,
                 );
-                mailbox.register_counters(&locality.registry);
-                locality.port.set_interceptor(id, mailbox as _);
             }
         }
         id

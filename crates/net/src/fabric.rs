@@ -216,12 +216,6 @@ pub struct SimTransport {
     state: Arc<FabricState>,
 }
 
-/// Historical name of [`SimTransport`], kept for call-site compatibility.
-pub type Fabric = SimTransport;
-
-/// Historical name of [`SimPort`], kept for call-site compatibility.
-pub type NetPort = SimPort;
-
 impl SimTransport {
     /// Build a fabric for `localities` localities under `model`.
     pub fn new(localities: u32, model: LinkModel) -> Arc<Self> {
@@ -615,7 +609,7 @@ mod tests {
 
     #[test]
     fn message_travels_between_ports() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -643,7 +637,7 @@ mod tests {
 
     #[test]
     fn send_to_self_is_allowed() {
-        let fabric = Fabric::new(1, LinkModel::zero());
+        let fabric = SimTransport::new(1, LinkModel::zero());
         let a = fabric.port(0);
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
@@ -664,7 +658,7 @@ mod tests {
             latency: Duration::from_millis(20),
             ..LinkModel::zero()
         };
-        let fabric = Fabric::new(2, model);
+        let fabric = SimTransport::new(2, model);
         let a = fabric.port(0);
         let b = fabric.port(1);
         let got = Arc::new(AtomicU64::new(0));
@@ -692,7 +686,7 @@ mod tests {
             send_overhead: Duration::from_micros(500),
             ..LinkModel::zero()
         };
-        let fabric = Fabric::new(2, model);
+        let fabric = SimTransport::new(2, model);
         let a = fabric.port(0);
         fabric.port(1).set_receiver(Arc::new(|_| {}));
         a.send(msg(0, 1, b"x"));
@@ -703,7 +697,7 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved_per_link() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -728,7 +722,7 @@ mod tests {
 
     #[test]
     fn notify_hook_fires_on_send_and_delivery() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let notified = Arc::new(AtomicU64::new(0));
@@ -748,7 +742,7 @@ mod tests {
 
     #[test]
     fn backlog_counters() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         b.set_receiver(Arc::new(|_| {}));
@@ -764,7 +758,7 @@ mod tests {
 
     #[test]
     fn without_receiver_messages_wait() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         a.send(msg(0, 1, b"x"));
@@ -782,7 +776,7 @@ mod tests {
 
     #[test]
     fn corrupted_messages_fail_decode_and_are_dropped() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -808,7 +802,7 @@ mod tests {
 
     #[test]
     fn concurrent_pumping_delivers_everything_once() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let count = Arc::new(AtomicU64::new(0));
@@ -840,7 +834,7 @@ mod tests {
 
     #[test]
     fn duplicated_messages_arrive_twice() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -863,7 +857,7 @@ mod tests {
 
     #[test]
     fn delayed_messages_arrive_late_but_arrive() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -889,7 +883,7 @@ mod tests {
 
     #[test]
     fn reordered_messages_all_arrive_out_of_order() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -919,7 +913,7 @@ mod tests {
 
     #[test]
     fn best_effort_wire_drops_are_accounted() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let a = fabric.port(0);
         let b = fabric.port(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -951,14 +945,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_destination_panics() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         fabric.port(0).send(msg(0, 7, b"x"));
     }
 
     #[test]
     #[should_panic(expected = "src must be this port")]
     fn wrong_src_panics() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         fabric.port(0).send(msg(1, 0, b"x"));
     }
 }

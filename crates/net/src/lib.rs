@@ -55,7 +55,7 @@ pub use bootstrap::{
     BootstrapError, BootstrapMode, HostId, TcpBootstrap, Topology, BOOTSTRAP_MAGIC,
     BOOTSTRAP_VERSION,
 };
-pub use fabric::{Fabric, NetPort, PortStats, SimPort, SimTransport};
+pub use fabric::{PortStats, SimPort, SimTransport};
 pub use fault::{FaultAction, FaultPlan, FaultStage};
 pub use frame::{
     corrupt_frame, decode_frame, decode_frame_in_place, encode_frame, frame_len, wire_len,

@@ -996,7 +996,7 @@ pub fn decode_continuation_args(args: Bytes) -> Result<(Gid, Bytes), WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpx_net::{Fabric, LinkModel};
+    use rpx_net::{LinkModel, SimTransport};
     use rpx_serialize::{from_bytes, to_bytes};
     use std::time::{Duration, Instant};
 
@@ -1007,7 +1007,7 @@ mod tests {
     }
 
     fn two_ports() -> (Arc<ParcelPort>, Arc<ParcelPort>, Arc<ActionRegistry>) {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let actions = ActionRegistry::new();
         let p0 = ParcelPort::new(0, Arc::new(fabric.port(0)), Arc::clone(&actions));
         let p1 = ParcelPort::new(1, Arc::new(fabric.port(1)), Arc::clone(&actions));
@@ -1359,7 +1359,7 @@ mod tests {
 
     #[test]
     fn egress_drain_budget_bounds_one_pump_sweep() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let actions = ActionRegistry::new();
         let act = actions.register("noop", Arc::new(|_| Ok(Bytes::new())));
         let p0 = ParcelPort::with_config(
@@ -1444,7 +1444,7 @@ mod tests {
 
     #[test]
     fn best_effort_sheds_past_the_backlog_bound() {
-        let fabric = Fabric::new(2, LinkModel::zero());
+        let fabric = SimTransport::new(2, LinkModel::zero());
         let actions = ActionRegistry::new();
         let be = actions.register_with_class(
             "be",
@@ -1590,8 +1590,8 @@ mod tests {
     fn watermarked_port(
         watermark: usize,
         actions: &Arc<ActionRegistry>,
-    ) -> (Arc<ParcelPort>, Arc<Fabric>) {
-        let fabric = Fabric::new(3, LinkModel::zero());
+    ) -> (Arc<ParcelPort>, Arc<SimTransport>) {
+        let fabric = SimTransport::new(3, LinkModel::zero());
         let p0 = ParcelPort::with_config(
             0,
             Arc::new(fabric.port(0)),

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rpx_agas::Gid;
-use rpx_net::{Fabric, LinkModel};
+use rpx_net::{LinkModel, SimTransport};
 use rpx_parcel::{ActionId, ActionRegistry, Parcel, ParcelInterceptor, ParcelPort, TaskSpawner};
 use rpx_serialize::{from_bytes, to_bytes};
 
@@ -60,7 +60,7 @@ fn interceptor_churn_never_loses_or_duplicates_parcels() {
     const PER_SENDER: u64 = 2_000;
     const TOTAL: u64 = SENDERS * PER_SENDER;
 
-    let fabric = Fabric::new(3, LinkModel::zero());
+    let fabric = SimTransport::new(3, LinkModel::zero());
     let actions = ActionRegistry::new();
     let delivered: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let act = {
