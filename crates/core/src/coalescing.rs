@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use rpx_adaptive::{AdaptiveConfig, OverheadController, PerDestController};
 use rpx_coalesce::{Coalescer, CoalescingCounters, CoalescingParams, FlushPolicy, ParamsHandle};
-use rpx_parcel::{ActionId, SendPath};
+use rpx_parcel::ActionId;
 
 use crate::error::RuntimeError;
 use crate::runtime::{Locality, Runtime};
@@ -38,7 +38,7 @@ pub(crate) fn install_coalescer(
         policy,
         per_destination,
         Arc::clone(rt.timer()),
-        Arc::clone(&locality.port) as Arc<dyn SendPath>,
+        locality.port.send_path(),
     );
     coalescer.register_counters(&locality.registry);
     locality

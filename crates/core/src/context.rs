@@ -9,7 +9,6 @@
 
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -44,16 +43,10 @@ impl<R: Wire> RemoteFuture<R> {
 
     /// Like [`RemoteFuture::get`], but gives up after `timeout`.
     pub fn get_timeout(self, timeout: std::time::Duration) -> Result<R, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        while !self.inner.is_ready() {
-            if Instant::now() >= deadline {
-                return Err(RuntimeError::Lco(rpx_lco::LcoError::Timeout));
-            }
-            if !self.locality.cooperative_pump() {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-        let bytes = self.inner.get()?;
+        let locality = Arc::clone(&self.locality);
+        let bytes = self
+            .inner
+            .get_with_timeout(move || locality.cooperative_pump(), timeout)?;
         Ok(from_bytes(bytes)?)
     }
 }

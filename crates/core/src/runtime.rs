@@ -309,12 +309,15 @@ impl LocalityActionBuilder<'_> {
 /// [`rpx_lco::LcoError::BrokenPromise`] instead of hanging forever.
 pub(crate) struct LcoTable {
     pending: Mutex<HashMap<Gid, (u32, Promise<Bytes>)>>,
+    /// Each entry's GID is bound in AGAS for as long as the entry lives.
+    agas: Arc<AgasService>,
 }
 
 impl LcoTable {
-    fn new() -> Self {
+    fn new(agas: Arc<AgasService>) -> Self {
         LcoTable {
             pending: Mutex::new(HashMap::new()),
+            agas,
         }
     }
 
@@ -323,8 +326,12 @@ impl LcoTable {
     }
 
     fn complete(&self, gid: Gid, value: Bytes) -> bool {
-        match self.pending.lock().remove(&gid) {
-            Some((_, mut promise)) => promise.set_ref(value).is_ok(),
+        let entry = self.pending.lock().remove(&gid);
+        match entry {
+            Some((_, mut promise)) => {
+                let _ = self.agas.unbind(gid);
+                promise.set_ref(value).is_ok()
+            }
             None => false,
         }
     }
@@ -334,7 +341,13 @@ impl LcoTable {
     fn fail_dest(&self, dest: u32) -> usize {
         let mut pending = self.pending.lock();
         let before = pending.len();
-        pending.retain(|_, (d, _)| *d != dest);
+        pending.retain(|gid, (d, _)| {
+            let keep = *d != dest;
+            if !keep {
+                let _ = self.agas.unbind(*gid);
+            }
+            keep
+        });
         before - pending.len()
     }
 
@@ -882,15 +895,17 @@ impl Runtime {
                 },
             );
 
-            // Wire wake-ups: network/egress activity unparks the workers.
+            // Wire wake-ups: network/egress activity wakes whoever sleeps
+            // on this locality — idle workers and waiters parked in
+            // `RemoteFuture::get`. The hook owns the scheduler's parking
+            // spot only: the scheduler's background list owns the port,
+            // so a hook owning the scheduler would close a cycle.
+            let wake = scheduler.notifier();
             {
-                let sched = Arc::clone(&scheduler);
-                port.set_notify(move || sched.notify());
+                let wake = Arc::clone(&wake);
+                port.set_notify(move || wake());
             }
-            {
-                let sched = Arc::clone(&scheduler);
-                port.net().set_notify(Arc::new(move || sched.notify()));
-            }
+            port.net().set_notify(wake);
             // Received parcels become scheduler tasks: one at a time for
             // single-parcel messages, one batched admission per coalesced
             // message (the receive-side dual of send-side coalescing).
@@ -931,7 +946,7 @@ impl Runtime {
                 port: Arc::clone(&port),
             }));
 
-            let lco_table = Arc::new(LcoTable::new());
+            let lco_table = Arc::new(LcoTable::new(Arc::clone(&agas)));
 
             // Per-process identity counters: which rank this registry
             // belongs to and how many peers have checked in at boot.

@@ -3,24 +3,29 @@
 //! The Parquet proxy synchronises localities at every iteration boundary;
 //! a reusable barrier avoids re-allocating per iteration. Waiting supports
 //! the same cooperative pump as futures, so scheduler workers blocked at
-//! the barrier keep the parcel pump running.
+//! the barrier keep the parcel pump running. Waiters park on their own
+//! thread's [`WakeSource`] (see [`crate::promise`]); the arrival that
+//! trips the barrier notifies every source recorded for the generation,
+//! so parties on different localities' schedulers are all released.
 
-use std::time::Duration;
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use rpx_util::sync::{park_until, WakeSource};
 
 struct State {
     /// Parties still to arrive in the current generation.
     remaining: usize,
     /// Increments each time the barrier trips.
     generation: u64,
+    /// Where this generation's parked waiters sleep.
+    waiters: Vec<Arc<dyn WakeSource>>,
 }
 
 /// A reusable barrier for a fixed number of parties.
 pub struct Barrier {
     parties: usize,
     state: Mutex<State>,
-    cv: Condvar,
 }
 
 impl Barrier {
@@ -35,8 +40,8 @@ impl Barrier {
             state: Mutex::new(State {
                 remaining: parties,
                 generation: 0,
+                waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -50,57 +55,52 @@ impl Barrier {
         self.state.lock().generation
     }
 
-    /// Arrive and block until all parties have arrived.
-    ///
-    /// Returns `true` for exactly one "leader" arrival per generation.
-    pub fn arrive_and_wait(&self) -> bool {
+    /// Arrive, then block until all parties have arrived.
+    fn arrive_and_park(&self, pump: Option<&mut dyn FnMut() -> bool>) -> bool {
         let mut state = self.state.lock();
         let gen = state.generation;
         state.remaining -= 1;
         if state.remaining == 0 {
             state.remaining = self.parties;
             state.generation += 1;
-            self.cv.notify_all();
+            let waiters = std::mem::take(&mut state.waiters);
+            drop(state);
+            for waiter in waiters {
+                waiter.events().notify();
+            }
             return true;
         }
-        while state.generation == gen {
-            self.cv.wait(&mut state);
-        }
+        drop(state);
+        park_until(
+            |source| {
+                let mut state = self.state.lock();
+                if state.generation != gen {
+                    return Some(());
+                }
+                if let Some(source) = source {
+                    if !state.waiters.iter().any(|w| Arc::ptr_eq(w, source)) {
+                        state.waiters.push(Arc::clone(source));
+                    }
+                }
+                None
+            },
+            pump,
+            None,
+        );
         false
     }
 
-    /// Arrive and wait, invoking `pump` while blocked (parking briefly
-    /// between pumps that report no work).
+    /// Arrive and block until all parties have arrived.
+    ///
+    /// Returns `true` for exactly one "leader" arrival per generation.
+    pub fn arrive_and_wait(&self) -> bool {
+        self.arrive_and_park(None)
+    }
+
+    /// Arrive and wait, invoking `pump` while blocked (parking between
+    /// pumps that report no work).
     pub fn arrive_and_wait_with(&self, mut pump: impl FnMut() -> bool) -> bool {
-        let gen = {
-            let mut state = self.state.lock();
-            let gen = state.generation;
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                state.remaining = self.parties;
-                state.generation += 1;
-                self.cv.notify_all();
-                return true;
-            }
-            gen
-        };
-        loop {
-            {
-                let state = self.state.lock();
-                if state.generation != gen {
-                    return false;
-                }
-                // Don't hold the lock across the pump.
-            }
-            let did_work = pump();
-            let mut state = self.state.lock();
-            if state.generation != gen {
-                return false;
-            }
-            if !did_work {
-                let _ = self.cv.wait_for(&mut state, Duration::from_micros(100));
-            }
-        }
+        self.arrive_and_park(Some(&mut pump))
     }
 }
 
@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn all_parties_released_one_leader() {

@@ -1,10 +1,21 @@
 //! One-shot promise/future pairs.
+//!
+//! ## Blocked waiters
+//!
+//! A waiter never sleeps on the future itself. It parks on its thread's
+//! [`WakeSource`] — on a scheduler worker that is the locality's
+//! eventcount, the object message arrival and task spawns already notify
+//! — and leaves a clone in the shared state; `set` and a broken promise
+//! take it out and notify it, from whichever thread or locality they run
+//! on. The loop itself (prepare, check and record the source, pump, park)
+//! is [`rpx_util::sync::park_until`].
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use rpx_util::sync::{park_until, WakeSource};
 
 /// Errors surfaced by future/promise operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,27 +48,62 @@ enum State<T> {
 }
 
 struct Shared<T> {
-    state: Mutex<State<T>>,
-    cv: Condvar,
+    state: State<T>,
+    /// Where the (single) waiter parks, once it has had to.
+    waiter: Option<Arc<dyn WakeSource>>,
+}
+
+impl<T> Shared<T> {
+    /// Leave `Pending` for `to` and wake the parked waiter; `false` if
+    /// the state was already decided.
+    fn complete(shared: &Mutex<Self>, to: State<T>) -> bool {
+        let mut guard = shared.lock();
+        if !matches!(guard.state, State::Pending) {
+            return false;
+        }
+        guard.state = to;
+        let waiter = guard.waiter.take();
+        drop(guard);
+        if let Some(waiter) = waiter {
+            waiter.events().notify();
+        }
+        true
+    }
+
+    /// Take the outcome; `None` while still pending.
+    fn take(&mut self) -> Option<Result<T, LcoError>> {
+        match std::mem::replace(&mut self.state, State::Taken) {
+            State::Ready(v) => Some(Ok(v)),
+            State::Pending => {
+                self.state = State::Pending;
+                None
+            }
+            State::Broken => {
+                self.state = State::Broken;
+                Some(Err(LcoError::BrokenPromise))
+            }
+            State::Taken => Some(Err(LcoError::BrokenPromise)),
+        }
+    }
 }
 
 /// The writing half of a one-shot channel.
 pub struct Promise<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<Shared<T>>>,
     fulfilled: bool,
 }
 
 /// The reading half of a one-shot channel.
 pub struct Future<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<Shared<T>>>,
 }
 
 /// Create a connected promise/future pair.
 pub fn channel<T>() -> (Promise<T>, Future<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State::Pending),
-        cv: Condvar::new(),
-    });
+    let shared = Arc::new(Mutex::new(Shared {
+        state: State::Pending,
+        waiter: None,
+    }));
     (
         Promise {
             shared: Arc::clone(&shared),
@@ -76,16 +122,11 @@ impl<T> Promise<T> {
     /// Fulfil without consuming (used when the promise lives in a shared
     /// table and is completed by a network handler).
     pub fn set_ref(&mut self, value: T) -> Result<(), LcoError> {
-        let mut state = self.shared.state.lock();
-        match *state {
-            State::Pending => {
-                *state = State::Ready(value);
-                self.fulfilled = true;
-                drop(state);
-                self.shared.cv.notify_all();
-                Ok(())
-            }
-            _ => Err(LcoError::AlreadySet),
+        if Shared::complete(&self.shared, State::Ready(value)) {
+            self.fulfilled = true;
+            Ok(())
+        } else {
+            Err(LcoError::AlreadySet)
         }
     }
 }
@@ -93,12 +134,7 @@ impl<T> Promise<T> {
 impl<T> Drop for Promise<T> {
     fn drop(&mut self) {
         if !self.fulfilled {
-            let mut state = self.shared.state.lock();
-            if matches!(*state, State::Pending) {
-                *state = State::Broken;
-                drop(state);
-                self.shared.cv.notify_all();
-            }
+            Shared::complete(&self.shared, State::Broken);
         }
     }
 }
@@ -106,92 +142,62 @@ impl<T> Drop for Promise<T> {
 impl<T> Future<T> {
     /// Whether a value is ready (or the promise broke).
     pub fn is_ready(&self) -> bool {
-        !matches!(*self.shared.state.lock(), State::Pending)
+        !matches!(self.shared.lock().state, State::Pending)
     }
 
     /// Take the value if ready; `Ok(None)` while still pending.
     pub fn try_take(&self) -> Result<Option<T>, LcoError> {
-        let mut state = self.shared.state.lock();
-        match std::mem::replace(&mut *state, State::Taken) {
-            State::Ready(v) => Ok(Some(v)),
-            State::Pending => {
-                *state = State::Pending;
-                Ok(None)
-            }
-            State::Broken => {
-                *state = State::Broken;
-                Err(LcoError::BrokenPromise)
-            }
-            State::Taken => Err(LcoError::BrokenPromise),
-        }
+        self.shared.lock().take().transpose()
+    }
+
+    /// The one wait behind every blocking getter.
+    fn wait(
+        self,
+        pump: Option<&mut dyn FnMut() -> bool>,
+        deadline: Option<Instant>,
+    ) -> Result<T, LcoError> {
+        park_until(
+            |source| {
+                let mut shared = self.shared.lock();
+                let outcome = shared.take();
+                if let (None, Some(source)) = (&outcome, source) {
+                    shared.waiter.get_or_insert_with(|| Arc::clone(source));
+                }
+                outcome
+            },
+            pump,
+            deadline,
+        )
+        .unwrap_or(Err(LcoError::Timeout))
     }
 
     /// Block until the value arrives and take it.
     pub fn get(self) -> Result<T, LcoError> {
-        let mut state = self.shared.state.lock();
-        loop {
-            match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(v) => return Ok(v),
-                State::Broken | State::Taken => return Err(LcoError::BrokenPromise),
-                State::Pending => {
-                    *state = State::Pending;
-                    self.shared.cv.wait(&mut state);
-                }
-            }
-        }
+        self.wait(None, None)
     }
 
     /// Block until the value arrives or `timeout` expires.
     pub fn get_timeout(self, timeout: Duration) -> Result<T, LcoError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(v) => return Ok(v),
-                State::Broken | State::Taken => return Err(LcoError::BrokenPromise),
-                State::Pending => {
-                    *state = State::Pending;
-                    if self.shared.cv.wait_until(&mut state, deadline).timed_out() {
-                        if let State::Ready(_) = *state {
-                            continue; // raced with a set at the deadline
-                        }
-                        return Err(LcoError::Timeout);
-                    }
-                }
-            }
-        }
+        self.wait(None, Some(Instant::now() + timeout))
     }
 
     /// Block until ready, invoking `pump` while waiting.
     ///
-    /// Between pump calls the waiter parks briefly; `pump` returning
-    /// `true` (work was done) skips the park. This is how a worker thread
-    /// blocked on a remote result keeps the parcel pump alive.
+    /// `pump` returning `true` (work was done) skips the park. This is
+    /// how a worker thread blocked on a remote result keeps the parcel
+    /// pump alive; between pumps it sleeps on its scheduler's eventcount,
+    /// so the reply's arrival wakes it.
     pub fn get_with(self, mut pump: impl FnMut() -> bool) -> Result<T, LcoError> {
-        loop {
-            {
-                let mut state = self.shared.state.lock();
-                match std::mem::replace(&mut *state, State::Taken) {
-                    State::Ready(v) => return Ok(v),
-                    State::Broken | State::Taken => return Err(LcoError::BrokenPromise),
-                    State::Pending => {
-                        *state = State::Pending;
-                    }
-                }
-            }
-            let did_work = pump();
-            if !did_work {
-                let mut state = self.shared.state.lock();
-                if matches!(*state, State::Pending) {
-                    // Short park: the pump must keep running even if no
-                    // notify arrives (e.g. network progress on other nodes).
-                    let _ = self
-                        .shared
-                        .cv
-                        .wait_for(&mut state, Duration::from_micros(100));
-                }
-            }
-        }
+        self.wait(Some(&mut pump), None)
+    }
+
+    /// [`Future::get_with`] that gives up after `timeout`.
+    pub fn get_with_timeout(
+        self,
+        mut pump: impl FnMut() -> bool,
+        timeout: Duration,
+    ) -> Result<T, LcoError> {
+        self.wait(Some(&mut pump), Some(Instant::now() + timeout))
     }
 }
 

@@ -529,6 +529,15 @@ impl ParcelPort {
         action_class(&self.inner, action)
     }
 
+    /// This port's [`SendPath`] for an interceptor installed *on this
+    /// port*. The port owns its interceptors (replaced ones until it
+    /// drops), so an interceptor that owned the port back could never be
+    /// freed — nor could the timer service its queues hold. Batches
+    /// emitted after the port is gone are dropped.
+    pub fn send_path(&self) -> Arc<dyn SendPath> {
+        Arc::new(WeakSendPath(Arc::downgrade(&self.inner)))
+    }
+
     /// Install (or replace) a send-side interceptor for `action`.
     pub fn set_interceptor(&self, action: ActionId, interceptor: Arc<dyn ParcelInterceptor>) {
         self.inner.interceptors.set(action.0 as usize, interceptor);
@@ -665,6 +674,29 @@ impl SendPath for ParcelPort {
             .stats
             .coalesce_mailbox_flushed
             .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// [`ParcelPort::send_path`]: the port's send path without owning it.
+struct WeakSendPath(Weak<Inner>);
+
+impl WeakSendPath {
+    fn with_port(&self, f: impl FnOnce(&ParcelPort)) {
+        if let Some(inner) = self.0.upgrade() {
+            f(&ParcelPort { inner });
+        }
+    }
+}
+
+impl SendPath for WeakSendPath {
+    fn emit(&self, dst: u32, batch: ParcelBatch) {
+        self.with_port(|port| port.emit(dst, batch));
+    }
+    fn note_mailbox_replaced(&self) {
+        self.with_port(ParcelPort::note_mailbox_replaced);
+    }
+    fn note_mailbox_flushed(&self) {
+        self.with_port(ParcelPort::note_mailbox_flushed);
     }
 }
 

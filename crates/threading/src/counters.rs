@@ -28,6 +28,9 @@ use crate::stats::ThreadStats;
 /// | `/threads/spawn-batches` | `spawn_batch` calls (batched ingress) |
 /// | `/threads/batched-tasks` | tasks admitted through `spawn_batch` |
 /// | `/threads/wakeups-skipped` | wakeups elided (no worker parked) |
+/// | `/threads/parks` | sleeps on the scheduler's eventcount (workers + waiters) |
+/// | `/threads/park-timeouts` | parks ended by the `idle_park` fallback, not a notification |
+/// | `/threads/waiter-parks` | parks by tasks blocked in an LCO wait |
 ///
 /// Counter resets zero the underlying accounts (all `/threads/*` counters
 /// share one [`ThreadStats`], so resetting one resets them all, matching
@@ -110,6 +113,22 @@ pub fn register_thread_counters(registry: &CounterRegistry, stats: Arc<ThreadSta
         })),
     );
     registry.register_or_replace(
+        "/threads/parks",
+        mk(Box::new(|s| CounterValue::Int(s.snapshot().parks as i64))),
+    );
+    registry.register_or_replace(
+        "/threads/park-timeouts",
+        mk(Box::new(|s| {
+            CounterValue::Int(s.snapshot().park_timeouts as i64)
+        })),
+    );
+    registry.register_or_replace(
+        "/threads/waiter-parks",
+        mk(Box::new(|s| {
+            CounterValue::Int(s.snapshot().waiter_parks as i64)
+        })),
+    );
+    registry.register_or_replace(
         "/threads/telemetry-time",
         mk(Box::new(|s| {
             CounterValue::Int(s.snapshot().telemetry_ns as i64)
@@ -156,7 +175,7 @@ mod tests {
         ] {
             assert!(reg.query(path).is_ok(), "missing {path}");
         }
-        assert_eq!(reg.discover("/threads/*").len(), 13);
+        assert_eq!(reg.discover("/threads/*").len(), 16);
     }
 
     #[test]
@@ -168,6 +187,12 @@ mod tests {
         assert_eq!(reg.query_f64("/threads/spawn-batches").unwrap(), 1.0);
         assert_eq!(reg.query_f64("/threads/batched-tasks").unwrap(), 64.0);
         assert_eq!(reg.query_f64("/threads/wakeups-skipped").unwrap(), 2.0);
+        stats.count_park(false);
+        stats.count_park(true);
+        stats.count_waiter_park();
+        assert_eq!(reg.query_f64("/threads/parks").unwrap(), 2.0);
+        assert_eq!(reg.query_f64("/threads/park-timeouts").unwrap(), 1.0);
+        assert_eq!(reg.query_f64("/threads/waiter-parks").unwrap(), 1.0);
         // Batched tasks feed the cumulative spawned counter too.
         assert_eq!(
             reg.query_f64("/threads/count/cumulative-spawned").unwrap(),

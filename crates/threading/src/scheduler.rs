@@ -15,22 +15,39 @@
 //!   from one coalesced message are admitted with a single `pending` add,
 //!   a single stats update, and a bounded wakeup sweep — instead of one
 //!   of each per parcel.
-//! * **Sleeper accounting**: an explicit count of parked workers lets
-//!   `spawn`/`spawn_batch`/`notify` skip the condvar syscall entirely
-//!   when every worker is already running (the common case under load);
-//!   elided wakeups are counted (`/threads/wakeups-skipped`).
+//! * **Sleeper accounting**: the eventcount's waiter count lets
+//!   `spawn`/`spawn_batch`/`notify` skip the wake-up entirely when every
+//!   worker is already running (the common case under load); elided
+//!   wakeups are counted (`/threads/wakeups-skipped`).
 //! * **Worker-local submission**: spawns issued *from* a worker thread of
 //!   this scheduler push straight into that worker's own queue — which
 //!   `find_task` drains ahead of the shared injector — so the pumping
 //!   worker never contends on the injector for its own ingress batch.
+//!
+//! ## Parking
+//!
+//! Everything that sleeps on this scheduler's behalf sleeps on one
+//! [`EventCount`]: idle workers, and tasks blocked in an LCO wait on a
+//! worker thread (the worker installs the scheduler's [`WakeSource`] as
+//! its thread's, which is where `rpx-lco` parks). Task spawns,
+//! [`Scheduler::notify`] (message arrival, egress pushes), new
+//! background work, shutdown and the completion of a waited-on LCO all
+//! notify it. A worker polls background work *under a prepared key*, so
+//! the poll that finds nothing is itself the re-check before the park
+//! and nothing published before it is missed (a notifier that meets a
+//! prepared but still awake worker pays an epoch bump and an uncontended
+//! lock, no syscall); `idle_park` is the fallback bound that keeps
+//! timer-driven background work (ack flushes, retransmission) ticking
+//! when nothing notifies.
 
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as WorkerQueue};
 use parking_lot::{Condvar, Mutex, RwLock};
+use rpx_util::sync::{set_thread_wake_source, EventCount, WakeSource};
 
 use crate::stats::ThreadStats;
 use crate::task::Task;
@@ -57,10 +74,12 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Name prefix for worker threads (shows up in debuggers/profilers).
     pub name: String,
-    /// How long an idle worker parks before re-polling background work.
+    /// Longest an idle worker (or a pumping waiter) sleeps before
+    /// re-polling background work when nothing notifies it.
     ///
-    /// This bounds the latency with which a completely idle scheduler
-    /// notices new network traffic; busy schedulers poll continuously.
+    /// Arrivals, spawns and completions wake sleepers directly; this only
+    /// bounds how late timer-driven background work (ack flushes,
+    /// retransmission timeouts) can run on an otherwise silent scheduler.
     pub idle_park: Duration,
 }
 
@@ -83,14 +102,51 @@ thread_local! {
         const { Cell::new((std::ptr::null(), std::ptr::null())) };
 }
 
-/// Clears [`CURRENT_WORKER`] when the worker loop exits (including by
-/// panic unwind), so the stack-owned queue is never reachable after it
-/// is gone.
+/// Clears [`CURRENT_WORKER`] and the thread's wake source when the worker
+/// loop exits (including by panic unwind), so the stack-owned queue is
+/// never reachable after it is gone.
 struct WorkerTlsGuard;
 
 impl Drop for WorkerTlsGuard {
     fn drop(&mut self) {
         CURRENT_WORKER.with(|c| c.set((std::ptr::null(), std::ptr::null())));
+        set_thread_wake_source(None);
+    }
+}
+
+/// The scheduler's one place to sleep: idle workers wait on `events`
+/// directly, tasks blocked in an LCO wait reach it as their thread's
+/// [`WakeSource`]. Holds no reference back to the scheduler, so notify
+/// hooks handed to the parcel port and the transport cannot keep a
+/// runtime alive.
+struct Parking {
+    events: EventCount,
+    stats: Arc<ThreadStats>,
+    idle_park: Duration,
+}
+
+impl Parking {
+    /// Wake every sleeper. A notify that had nobody to wake — nobody
+    /// prepared (a fence and a load), or only threads still awake under
+    /// their key, such as the worker whose own poll is spawning — is
+    /// counted under `/threads/wakeups-skipped`.
+    fn notify(&self) {
+        if !self.events.notify() {
+            self.stats.count_wakeup_skipped();
+        }
+    }
+}
+
+impl WakeSource for Parking {
+    fn events(&self) -> &EventCount {
+        &self.events
+    }
+    fn fallback(&self) -> Duration {
+        self.idle_park
+    }
+    fn parked(&self, timed_out: bool) {
+        self.stats.count_park(timed_out);
+        self.stats.count_waiter_park();
     }
 }
 
@@ -119,15 +175,10 @@ struct Inner {
     /// never see 0 while a published task has not run. There is no
     /// multi-variable total-order requirement, only these pairings.
     pending: AtomicUsize,
-    /// Workers currently parked in `sleep_cv` (maintained under
-    /// `sleep_lock`; read lock-free by the wakeup fast path).
-    sleepers: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
+    parking: Arc<Parking>,
     /// Waiters blocked in `wait_idle`, woken when `pending` hits zero.
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
-    idle_park: Duration,
 }
 
 impl Inner {
@@ -140,32 +191,6 @@ impl Inner {
     fn notify_idle_waiters(&self) {
         let _guard = self.idle_lock.lock();
         self.idle_cv.notify_all();
-    }
-
-    /// Wake up to `n` parked workers, skipping the condvar entirely when
-    /// nobody is parked.
-    ///
-    /// The `SeqCst` fence pairs with the `SeqCst` sleeper increment in
-    /// `worker_loop` (Dekker pattern): either this load observes the
-    /// sleeper (and we notify), or the sleeper's post-increment queue
-    /// re-check observes the task published before this fence (and it
-    /// does not park). A residual miss against the *background-work*
-    /// probe (which is not a queue) is bounded by `idle_park`, exactly as
-    /// with the unconditional notify this replaces.
-    fn wake_workers(&self, n: usize) {
-        fence(Ordering::SeqCst);
-        let sleepers = self.sleepers.load(Ordering::Relaxed);
-        if sleepers == 0 {
-            self.stats.count_wakeup_skipped();
-            return;
-        }
-        if n >= sleepers {
-            self.sleep_cv.notify_all();
-        } else {
-            for _ in 0..n {
-                self.sleep_cv.notify_one();
-            }
-        }
     }
 }
 
@@ -184,21 +209,23 @@ impl Scheduler {
             .map(|_| WorkerQueue::new_fifo())
             .collect();
         let stealers = queues.iter().map(|q| q.stealer()).collect();
+        let stats = Arc::new(ThreadStats::new());
         let inner = Arc::new(Inner {
             injector: Injector::new(),
             stealers,
             background: RwLock::new(Arc::new(Vec::new())),
             aux: RwLock::new(Arc::new(Vec::new())),
             has_aux: AtomicBool::new(false),
-            stats: Arc::new(ThreadStats::new()),
+            parking: Arc::new(Parking {
+                events: EventCount::new(),
+                stats: Arc::clone(&stats),
+                idle_park: config.idle_park,
+            }),
+            stats,
             shutdown: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
-            idle_park: config.idle_park,
         });
         let mut threads = Vec::with_capacity(config.workers);
         for (idx, queue) in queues.into_iter().enumerate() {
@@ -252,11 +279,11 @@ impl Scheduler {
         self.inner.pending.fetch_add(1, Ordering::AcqRel);
         self.inner.stats.count_spawn();
         self.submit(task);
-        self.inner.wake_workers(1);
+        self.inner.parking.notify();
     }
 
     /// Schedule a batch of tasks as one admission: a single `pending`
-    /// add, a single stats update, and one bounded wakeup sweep for the
+    /// add, a single stats update, and one wakeup for the
     /// whole batch — the receive-side dual of send-side coalescing. From
     /// a worker thread of this scheduler the tasks land in that worker's
     /// own queue (drained ahead of the injector); peers steal any excess.
@@ -292,7 +319,7 @@ impl Scheduler {
             // `pending` above zero forever.
             self.inner.pending.fetch_sub(n - pushed, Ordering::AcqRel);
         }
-        self.inner.wake_workers(n);
+        self.inner.parking.notify();
     }
 
     /// Push one task: into the calling worker's own queue when the caller
@@ -321,7 +348,7 @@ impl Scheduler {
         let mut list: Vec<Arc<dyn BackgroundWork>> = guard.as_ref().clone();
         list.push(work);
         *guard = Arc::new(list);
-        self.inner.sleep_cv.notify_all();
+        self.inner.parking.notify();
     }
 
     /// Register *aux* background work: polled exactly like
@@ -335,14 +362,23 @@ impl Scheduler {
         list.push(work);
         *guard = Arc::new(list);
         self.inner.has_aux.store(true, Ordering::Release);
-        self.inner.sleep_cv.notify_all();
+        self.inner.parking.notify();
     }
 
-    /// Wake all parked workers (e.g. after enqueuing network traffic from
-    /// a non-worker thread). A no-op when no worker is parked — skipped
+    /// Wake every sleeper — parked workers and waiters parked in an LCO
+    /// wait on a worker thread (e.g. after enqueuing network traffic from
+    /// a non-worker thread). A no-op when nobody sleeps — skipped
     /// wakeups are counted under `/threads/wakeups-skipped`.
     pub fn notify(&self) {
-        self.inner.wake_workers(usize::MAX);
+        self.inner.parking.notify();
+    }
+
+    /// [`Scheduler::notify`] as a hook that owns the parking spot only,
+    /// not the scheduler: safe to store in objects the scheduler's
+    /// background work keeps alive (parcel port, transport).
+    pub fn notifier(&self) -> Arc<dyn Fn() + Send + Sync> {
+        let parking = Arc::clone(&self.inner.parking);
+        Arc::new(move || parking.notify())
     }
 
     /// Number of worker threads.
@@ -357,10 +393,10 @@ impl Scheduler {
         self.inner.pending.load(Ordering::Acquire)
     }
 
-    /// Workers currently parked waiting for work (diagnostic; racy by
-    /// nature).
+    /// Threads currently parked (or about to park) on this scheduler:
+    /// idle workers and blocked waiters (diagnostic; racy by nature).
     pub fn sleepers(&self) -> usize {
-        self.inner.sleepers.load(Ordering::Relaxed)
+        self.inner.parking.events.waiters()
     }
 
     /// The shared time-accounting stats.
@@ -433,17 +469,24 @@ impl Scheduler {
         true
     }
 
-    /// Shut the scheduler down: drain queued tasks, stop workers, join.
+    /// Shut the scheduler down: drain queued tasks, stop workers, join,
+    /// and release the background work.
     ///
     /// Idempotent. Called automatically on drop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Unconditional: every parked worker must observe the flag.
-        self.inner.sleep_cv.notify_all();
+        // A worker this misses has not prepared yet and re-checks the
+        // flag under its key.
+        self.inner.parking.events.notify();
         let mut threads = self.threads.lock();
         for t in threads.drain(..) {
             let _ = t.join();
         }
+        // Background items routinely own things that point back here (a
+        // port whose spawner holds this scheduler); letting go of them
+        // is what lets both sides drop.
+        *self.inner.background.write() = Arc::new(Vec::new());
+        *self.inner.aux.write() = Arc::new(Vec::new());
     }
 }
 
@@ -522,17 +565,14 @@ fn run_aux(inner: &Inner, mark: &mut Instant) {
 }
 
 /// Is there anything queued for this worker to run?
-///
-/// Checked after the sleeper count rises and before parking; pairs with
-/// the fence in [`Inner::wake_workers`] so a task published right before
-/// a skipped wakeup is seen here.
 fn has_queued_work(inner: &Inner, local: &WorkerQueue<Task>) -> bool {
     !inner.injector.is_empty() || !local.is_empty()
 }
 
 fn worker_loop(inner: Arc<Inner>, local: WorkerQueue<Task>, idx: usize) {
     // Publish this worker's identity so same-thread spawns go straight to
-    // `local` (see Scheduler::submit). The guard clears it on any exit.
+    // `local` (see Scheduler::submit) and LCO waits in its tasks park on
+    // this scheduler. The guard clears both on any exit.
     let _tls_guard = WorkerTlsGuard;
     CURRENT_WORKER.with(|c| {
         c.set((
@@ -540,6 +580,8 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerQueue<Task>, idx: usize) {
             &local as *const WorkerQueue<Task>,
         ))
     });
+    set_thread_wake_source(Some(Arc::clone(&inner.parking) as Arc<dyn WakeSource>));
+    let events = &inner.parking.events;
     // Timestamps are amortized: each account boundary reuses the reading
     // that closed the previous account, so a task costs two clock reads
     // (mgmt→exec and exec→mgmt) instead of four.
@@ -561,6 +603,12 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerQueue<Task>, idx: usize) {
                 mark = exec_end;
             }
             None => {
+                // Poll under a prepared key: whatever was published before
+                // a notify that missed the key — a message the pump can
+                // now see, a task, the stop flag — is found by this poll
+                // and the checks after it; everything later ends the wait
+                // below.
+                let key = events.prepare();
                 let bg_start = Instant::now();
                 inner.stats.add_mgmt(bg_start.duration_since(mark));
                 let did_work = run_background(&inner);
@@ -572,26 +620,20 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerQueue<Task>, idx: usize) {
                 // Exit check must not depend on background work running
                 // dry — a pump that always reports progress would
                 // otherwise pin the worker forever.
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    // Task queues drained and asked to stop.
-                    return;
-                }
-                if !did_work {
-                    let mut guard = inner.sleep_lock.lock();
-                    // Advertise the sleeper *before* the final queue
-                    // probe: the SeqCst RMW pairs with the fence in
-                    // `wake_workers` — a producer that skipped its wakeup
-                    // published its task before our re-check.
-                    inner.sleepers.fetch_add(1, Ordering::SeqCst);
-                    if !has_queued_work(&inner, &local) && !inner.shutdown.load(Ordering::SeqCst) {
-                        let _ = inner.sleep_cv.wait_for(&mut guard, inner.idle_park);
+                let stop = inner.shutdown.load(Ordering::SeqCst);
+                if stop || did_work || has_queued_work(&inner, &local) {
+                    events.cancel(key);
+                    if stop {
+                        // Task queues drained and asked to stop.
+                        return;
                     }
-                    inner.sleepers.fetch_sub(1, Ordering::Relaxed);
-                    drop(guard);
-                    let idle_end = Instant::now();
-                    inner.stats.add_idle(idle_end.duration_since(mark));
-                    mark = idle_end;
+                    continue;
                 }
+                let notified = events.wait(key, Some(inner.parking.idle_park));
+                inner.stats.count_park(!notified);
+                let idle_end = Instant::now();
+                inner.stats.add_idle(idle_end.duration_since(mark));
+                mark = idle_end;
             }
         }
     }
@@ -981,6 +1023,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(s.sleepers(), 2, "workers never parked");
+        // A sleeper shows from its `prepare` on; give the last dry poll
+        // under the key time to end in the actual sleep.
+        std::thread::sleep(Duration::from_millis(2));
         let skipped_before = s.stats().snapshot().wakeups_skipped;
         let hit = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hit);

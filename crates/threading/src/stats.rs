@@ -42,6 +42,9 @@ pub struct ThreadStats {
     spawn_batches: AtomicU64,
     batched_tasks: AtomicU64,
     wakeups_skipped: AtomicU64,
+    parks: AtomicU64,
+    park_timeouts: AtomicU64,
+    waiter_parks: AtomicU64,
 }
 
 impl ThreadStats {
@@ -107,6 +110,21 @@ impl ThreadStats {
         self.wakeups_skipped.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one park (an idle worker or a blocked waiter went to sleep
+    /// on the scheduler's eventcount) and whether it ended on the
+    /// fallback timeout instead of a notification.
+    pub fn count_park(&self, timed_out: bool) {
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        self.park_timeouts
+            .fetch_add(u64::from(timed_out), Ordering::Relaxed);
+    }
+
+    /// Count one park as a blocked waiter's (a task parked in an LCO
+    /// wait on a worker thread); also counted by [`Self::count_park`].
+    pub fn count_waiter_park(&self) {
+        self.waiter_parks.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Count one successful steal.
     pub fn count_steal(&self) {
         self.steals.fetch_add(1, Ordering::Relaxed);
@@ -137,6 +155,9 @@ impl ThreadStats {
             spawn_batches: self.spawn_batches.load(Ordering::Relaxed),
             batched_tasks: self.batched_tasks.load(Ordering::Relaxed),
             wakeups_skipped: self.wakeups_skipped.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
+            waiter_parks: self.waiter_parks.load(Ordering::Relaxed),
         }
     }
 
@@ -155,6 +176,9 @@ impl ThreadStats {
         self.spawn_batches.store(0, Ordering::Relaxed);
         self.batched_tasks.store(0, Ordering::Relaxed);
         self.wakeups_skipped.store(0, Ordering::Relaxed);
+        self.parks.store(0, Ordering::Relaxed);
+        self.park_timeouts.store(0, Ordering::Relaxed);
+        self.waiter_parks.store(0, Ordering::Relaxed);
     }
 }
 
@@ -188,6 +212,14 @@ pub struct StatsSnapshot {
     pub batched_tasks: u64,
     /// Wakeups elided because no worker was parked at spawn/notify time.
     pub wakeups_skipped: u64,
+    /// Times a thread went to sleep on the scheduler's eventcount (idle
+    /// workers and blocked waiters).
+    pub parks: u64,
+    /// Parks that ended on the `idle_park` fallback (or a wait deadline)
+    /// instead of a notification.
+    pub park_timeouts: u64,
+    /// Parks by tasks blocked in an LCO wait (a subset of `parks`).
+    pub waiter_parks: u64,
 }
 
 impl StatsSnapshot {
@@ -235,6 +267,9 @@ impl StatsSnapshot {
             spawn_batches: self.spawn_batches.saturating_sub(earlier.spawn_batches),
             batched_tasks: self.batched_tasks.saturating_sub(earlier.batched_tasks),
             wakeups_skipped: self.wakeups_skipped.saturating_sub(earlier.wakeups_skipped),
+            parks: self.parks.saturating_sub(earlier.parks),
+            park_timeouts: self.park_timeouts.saturating_sub(earlier.park_timeouts),
+            waiter_parks: self.waiter_parks.saturating_sub(earlier.waiter_parks),
         })
     }
 }

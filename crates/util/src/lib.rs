@@ -25,9 +25,11 @@
 //! * [`ewma`] — exponentially weighted moving averages and rate estimators
 //!   used by the adaptive controller.
 //! * [`sync`] — lock-free read-mostly registries ([`SlotTable`],
-//!   [`BitTable`], [`ArcCell`]) backing the parcel send fast path, and
-//!   the SPSC byte ring ([`SpscProducer`]/[`SpscConsumer`]) underpinning
-//!   the shared-memory transport.
+//!   [`BitTable`], [`ArcCell`]) backing the parcel send fast path, the
+//!   SPSC byte ring ([`SpscProducer`]/[`SpscConsumer`]) underpinning the
+//!   shared-memory transport, and the [`EventCount`] a locality's idle
+//!   workers and blocked waiters park on ([`WakeSource`],
+//!   [`park_until`]).
 //! * [`poll`] — the readiness [`Poller`] (epoll shim on Linux, portable
 //!   fallback elsewhere) and vectored-read helpers behind the
 //!   event-driven TCP transport's pump threads.
@@ -51,8 +53,8 @@ pub use ids::IdAllocator;
 pub use poll::{BellRinger, Doorbell, Event, Interest, Poller};
 pub use stats::{pearson, OnlineStats};
 pub use sync::{
-    heap_ring, ArcCell, BitTable, RingMemory, RingPop, RingPush, SlotTable, SpscConsumer,
-    SpscProducer, RING_HDR_BYTES,
+    heap_ring, park_until, ArcCell, BitTable, EventCount, RingMemory, RingPop, RingPush, SlotTable,
+    SpscConsumer, SpscProducer, WaitKey, WakeSource, RING_HDR_BYTES,
 };
 pub use time::{busy_charge, spin_sleep, Stopwatch};
 pub use timer::{TimerHandle, TimerService};
