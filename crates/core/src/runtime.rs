@@ -56,8 +56,6 @@ pub struct RuntimeConfig {
     /// work is driven by the same pump loops and lands in the
     /// background-work account.
     pub reliability: Option<ReliabilityConfig>,
-    /// Egress entries the parcel pump encodes per background sweep.
-    pub egress_drain_budget: usize,
     /// Backlog bound for [`DeliveryClass::BestEffort`](rpx_net::DeliveryClass)
     /// traffic: when a best-effort parcel arrives while this many entries
     /// are already queued for egress (or unsent at the transport), it is
@@ -97,7 +95,6 @@ impl Default for RuntimeConfig {
             workers_per_locality: 2,
             transport: TransportKind::default(),
             reliability: None,
-            egress_drain_budget: ParcelPortConfig::default().egress_drain_budget,
             best_effort_backlog: ParcelPortConfig::default().best_effort_backlog,
             backpressure_watermark: ParcelPortConfig::default().backpressure_watermark,
             idle_park: Duration::from_micros(200),
@@ -123,7 +120,6 @@ impl RuntimeConfig {
                 rendezvous_extra: Duration::ZERO,
             }),
             reliability: None,
-            egress_drain_budget: ParcelPortConfig::default().egress_drain_budget,
             best_effort_backlog: ParcelPortConfig::default().best_effort_backlog,
             backpressure_watermark: ParcelPortConfig::default().backpressure_watermark,
             idle_park: Duration::from_micros(200),
@@ -888,10 +884,8 @@ impl Runtime {
                 net_port,
                 Arc::clone(&actions),
                 ParcelPortConfig {
-                    egress_drain_budget: config.egress_drain_budget,
                     best_effort_backlog: config.best_effort_backlog,
                     backpressure_watermark: config.backpressure_watermark,
-                    ..ParcelPortConfig::default()
                 },
             );
 
@@ -1129,8 +1123,8 @@ impl Runtime {
     }
 
     /// The shared registration core behind [`Runtime::action`]: mirror
-    /// the handler into every hosted locality's registry under `class`,
-    /// stamp the class into each parcel port's dispatch tables, and —
+    /// the handler into every hosted locality's registry under `class`
+    /// (the registry is the only class table; the port reads it) and —
     /// for [`DeliveryClass::Coalesce`] — install the newest-wins mailbox
     /// interceptor that turns N queued updates into one wire record.
     fn register_classed(
@@ -1146,7 +1140,6 @@ impl Runtime {
             let this_id = locality
                 .actions
                 .register_with_class(name, class, mk(locality.id));
-            locality.port.set_action_class(this_id, class);
             match id {
                 None => id = Some(this_id),
                 Some(prev) => assert_eq!(
@@ -1580,14 +1573,9 @@ mod tests {
             .with_locality()
             .register(|_here, x: u64| x);
         for l in &rt.localities {
-            assert_eq!(
-                l.actions.class(lossless.id()),
-                Some(DeliveryClass::Lossless)
-            );
-            assert_eq!(l.actions.class(be.id()), Some(DeliveryClass::BestEffort));
-            assert_eq!(l.actions.class(co.id()), Some(DeliveryClass::Coalesce));
-            assert_eq!(l.port.action_class(be.id()), DeliveryClass::BestEffort);
-            assert_eq!(l.port.action_class(co.id()), DeliveryClass::Coalesce);
+            assert_eq!(l.actions.class(lossless.id()), DeliveryClass::Lossless);
+            assert_eq!(l.actions.class(be.id()), DeliveryClass::BestEffort);
+            assert_eq!(l.actions.class(co.id()), DeliveryClass::Coalesce);
         }
         // Localities agree on the order hash with classes folded in.
         assert_eq!(

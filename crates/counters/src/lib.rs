@@ -17,13 +17,11 @@
 //!   [`kinds`].
 //! * A **registry** with discovery (wildcards), querying, and reset
 //!   semantics — see [`registry`].
-//! * A background **sampler** that polls a set of counters at an interval
-//!   and returns time series, the building block for the instantaneous
-//!   per-phase measurements of Fig. 9 — see [`sampler`].
-//! * The **telemetry service** — ring-buffered counter sampling with
-//!   derived windowed rates and the instantaneous Eq. 4 network-overhead
-//!   series `/parcels/overhead-time`, plus JSON/CSV export — see
-//!   [`telemetry`].
+//! * The **telemetry service** — the one periodic counter reader:
+//!   ring-buffered sampling at an interval (the building block for the
+//!   instantaneous per-phase measurements of Fig. 9) with derived
+//!   windowed rates and the instantaneous Eq. 4 network-overhead series
+//!   `/parcels/overhead-time`, plus JSON/CSV export — see [`telemetry`].
 //!
 //! The counters specific to this study (the ones the paper adds to HPX) are
 //! registered by `rpx-coalesce` and `rpx-threading`:
@@ -44,7 +42,6 @@
 pub mod kinds;
 pub mod path;
 pub mod registry;
-pub mod sampler;
 pub mod telemetry;
 pub mod value;
 
@@ -54,6 +51,5 @@ pub use kinds::{
 };
 pub use path::CounterPath;
 pub use registry::{CounterError, CounterRegistry};
-pub use sampler::{SampledPoint, SampledSeries, Sampler};
 pub use telemetry::{Sample, TelemetryConfig, TelemetryService, TimeSeries};
 pub use value::CounterValue;

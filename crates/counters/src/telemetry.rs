@@ -2,22 +2,17 @@
 //!
 //! Cumulative counters answer "how much so far"; the paper's Figs. 7–9
 //! need "how much *right now*" — per-interval rates and windowed Eq. 4
-//! network overhead. [`TelemetryService`] closes that gap: a background
-//! sampler snapshots every registered counter into a fixed-capacity
-//! per-counter ring buffer at a configurable interval (default 1 ms),
-//! and derived series (rates, windowed deltas, the `/parcels/overhead-time`
+//! network overhead. [`TelemetryService`] closes that gap: a sampler
+//! snapshots every registered counter into a fixed-capacity per-counter
+//! ring buffer at a configurable interval (default 1 ms), and derived
+//! series (rates, windowed deltas, the `/parcels/overhead-time`
 //! instantaneous network-overhead series) are computed from the rings on
 //! demand.
 //!
-//! Two tick drivers exist:
-//!
-//! * [`TelemetryService::start`] spawns a dedicated `rpx-telemetry`
-//!   thread. Sampling cost then never lands in any scheduler worker
-//!   account, so the Eq. 1–4 integrals are untouched by construction.
-//! * [`TelemetryService::start_cooperative`] spawns nothing; the host
-//!   polls [`TelemetryService::tick_if_due`]. The RPX runtime drives this
-//!   from scheduler *aux* background work, whose time is charged to the
-//!   separate telemetry account — again leaving Eq. 1–4 intact.
+//! The service owns no thread: the host polls
+//! [`TelemetryService::tick_if_due`]. The RPX runtime drives it from
+//! scheduler *aux* background work, whose time is charged to the separate
+//! telemetry account — leaving the Eq. 1–4 integrals intact.
 //!
 //! The service registers self-describing `/telemetry/*` counters and the
 //! derived `/parcels/overhead-time` counter (the latest windowed Eq. 4
@@ -25,8 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -272,7 +266,6 @@ struct Shared {
     /// periodic rescan picks up newcomers with a bounded delay.
     sampled_paths: Mutex<Arc<Vec<String>>>,
     stopped: AtomicBool,
-    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// A discovery rescan runs every this many ticks (≈32 ms at the default
@@ -361,16 +354,20 @@ fn latest_overhead(rings: &Mutex<RingMap>) -> f64 {
 /// A cheaply clonable handle on a counter sampling service.
 ///
 /// All clones share one sampler; [`TelemetryService::stop`] through any
-/// clone stops it for all. If every handle is dropped without `stop`, a
-/// dedicated sampler thread notices within one sleep slice and exits on
-/// its own.
+/// clone stops it for all.
 #[derive(Clone)]
 pub struct TelemetryService {
     shared: Arc<Shared>,
 }
 
 impl TelemetryService {
-    fn new(registry: Arc<CounterRegistry>, config: TelemetryConfig) -> TelemetryService {
+    /// Start a cooperative sampler: no thread is spawned; the host calls
+    /// [`TelemetryService::tick_if_due`] (the RPX runtime does so from
+    /// scheduler aux background work).
+    pub fn start_cooperative(
+        registry: Arc<CounterRegistry>,
+        config: TelemetryConfig,
+    ) -> TelemetryService {
         let rings: Arc<Mutex<RingMap>> = Arc::new(Mutex::new(BTreeMap::new()));
         let ticks = Arc::new(AtomicU64::new(0));
         let interval_ns = config.interval.as_nanos() as u64;
@@ -409,67 +406,8 @@ impl TelemetryService {
                 next_due_ns: AtomicU64::new(0),
                 sampled_paths: Mutex::new(Arc::new(Vec::new())),
                 stopped: AtomicBool::new(false),
-                thread: Mutex::new(None),
             }),
         }
-    }
-
-    /// Start a sampler on a dedicated `rpx-telemetry` thread.
-    ///
-    /// The thread holds only a weak reference: dropping every handle (or
-    /// calling [`TelemetryService::stop`]) terminates it.
-    pub fn start(registry: Arc<CounterRegistry>, config: TelemetryConfig) -> TelemetryService {
-        let svc = TelemetryService::new(registry, config);
-        let weak: Weak<Shared> = Arc::downgrade(&svc.shared);
-        let interval = svc.shared.config.interval;
-        let handle = std::thread::Builder::new()
-            .name("rpx-telemetry".to_string())
-            .spawn(move || {
-                let slice = interval.min(Duration::from_micros(200));
-                let mut next = Instant::now() + interval;
-                loop {
-                    // Sliced sleep so stop (or handle drop) is prompt even
-                    // for long intervals.
-                    loop {
-                        match weak.upgrade() {
-                            None => return,
-                            Some(shared) if shared.stopped.load(Ordering::Acquire) => return,
-                            Some(_) => {}
-                        }
-                        let now = Instant::now();
-                        if now >= next {
-                            break;
-                        }
-                        std::thread::sleep((next - now).min(slice));
-                    }
-                    let Some(shared) = weak.upgrade() else { return };
-                    if shared.stopped.load(Ordering::Acquire) {
-                        return;
-                    }
-                    shared.sample_once();
-                    drop(shared);
-                    next += interval;
-                    let now = Instant::now();
-                    if next < now {
-                        // Fell behind (e.g. a stall); resume cadence from
-                        // now instead of bursting to catch up.
-                        next = now + interval;
-                    }
-                }
-            })
-            .expect("failed to spawn telemetry sampler thread");
-        *svc.shared.thread.lock() = Some(handle);
-        svc
-    }
-
-    /// Start a cooperative sampler: no thread is spawned; the host calls
-    /// [`TelemetryService::tick_if_due`] (the RPX runtime does so from
-    /// scheduler aux background work).
-    pub fn start_cooperative(
-        registry: Arc<CounterRegistry>,
-        config: TelemetryConfig,
-    ) -> TelemetryService {
-        TelemetryService::new(registry, config)
     }
 
     /// Poll a cooperative sampler: takes one sample if the interval has
@@ -504,15 +442,10 @@ impl TelemetryService {
         self.shared.sample_once();
     }
 
-    /// Stop sampling. Idempotent; joins a dedicated sampler thread if one
-    /// is running. Rings and registered `/telemetry/*` counters remain
-    /// readable (frozen) after the stop.
+    /// Stop sampling. Idempotent. Rings and registered `/telemetry/*`
+    /// counters remain readable (frozen) after the stop.
     pub fn stop(&self) {
         self.shared.stopped.store(true, Ordering::Release);
-        let handle = self.shared.thread.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
     }
 
     /// Whether the service is still sampling (not stopped).
@@ -672,26 +605,28 @@ mod tests {
     #[test]
     fn stop_is_idempotent_and_freezes_sampling() {
         let (reg, _parcels) = registry_with_parcels();
-        let svc = TelemetryService::start(
+        let svc = TelemetryService::start_cooperative(
             Arc::clone(&reg),
             TelemetryConfig {
                 interval: Duration::from_micros(200),
                 ..TelemetryConfig::default()
             },
         );
+        // The host's poll loop, as the scheduler's aux hook runs it.
         let deadline = Instant::now() + Duration::from_secs(2);
         while svc.ticks() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            svc.tick_if_due();
         }
-        assert!(svc.ticks() >= 3, "sampler thread never ticked");
+        assert!(svc.ticks() >= 3, "due ticks were never taken");
         assert!(svc.is_running());
         svc.stop();
         svc.stop(); // idempotent
         assert!(!svc.is_running());
         let frozen = svc.ticks();
+        // Well past the interval: a stopped service still refuses the tick.
+        std::thread::sleep(Duration::from_millis(5));
         assert!(!svc.tick_if_due());
         svc.tick_now(); // no-op after stop
-        std::thread::sleep(Duration::from_millis(5));
         assert_eq!(svc.ticks(), frozen, "samples taken after stop");
         // Registered telemetry counters survive the stop, frozen.
         assert_eq!(

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use rpx_net::DeliveryClass;
 use rpx_serialize::WireError;
-use rpx_util::SlotTable;
+use rpx_util::{BitTable, SlotTable};
 
 /// Dense identifier of a registered action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,18 +29,23 @@ pub type RawHandler = Arc<dyn Fn(Bytes) -> Result<Bytes, WireError> + Send + Syn
 #[derive(Default)]
 struct Meta {
     names: Vec<String>,
-    classes: Vec<DeliveryClass>,
     by_name: HashMap<String, ActionId>,
 }
 
 /// The table of registered actions, shared by all localities.
 ///
-/// `handler` sits on the receive path of every parcel, so dispatch reads
-/// come from a lock-free [`SlotTable`]; names and the by-name index are
-/// registration-time-only and stay behind a mutex.
+/// `handler` sits on the receive path of every parcel and `class` on
+/// both the send and the receive path, so both read lock-free tables;
+/// names and the by-name index are registration-time-only and stay
+/// behind a mutex.
 #[derive(Default)]
 pub struct ActionRegistry {
     handlers: SlotTable<dyn Fn(Bytes) -> Result<Bytes, WireError> + Send + Sync>,
+    /// The delivery-class table — the only one: two bits per action at
+    /// `2 * id`. Bit 0 set means "not Lossless", so the common Lossless
+    /// read is a single bit test; bit 1 then tells Coalesce from
+    /// BestEffort.
+    classes: BitTable,
     meta: Mutex<Meta>,
     count: AtomicUsize,
 }
@@ -83,8 +88,19 @@ impl ActionRegistry {
         );
         let id = ActionId(meta.names.len() as u32);
         meta.names.push(name.to_string());
-        meta.classes.push(class);
         meta.by_name.insert(name.to_string(), id);
+        // Class bits land before the handler is published, so whoever can
+        // dispatch the action also reads its final class.
+        let bit = id.0 as usize * 2;
+        match class {
+            DeliveryClass::Lossless => {}
+            DeliveryClass::BestEffort => self.classes.set(bit),
+            DeliveryClass::Coalesce => {
+                // Distinguishing bit first: no reader sees BestEffort.
+                self.classes.set(bit + 1);
+                self.classes.set(bit);
+            }
+        }
         self.handlers.set(id.0 as usize, handler);
         self.count.fetch_add(1, Ordering::Release);
         id
@@ -95,9 +111,19 @@ impl ActionRegistry {
         self.meta.lock().by_name.get(name).copied()
     }
 
-    /// The delivery class an action was registered under.
-    pub fn class(&self, id: ActionId) -> Option<DeliveryClass> {
-        self.meta.lock().classes.get(id.0 as usize).copied()
+    /// The delivery class an action was registered under (lock-free; hot
+    /// on the send and receive paths). Unregistered ids read as
+    /// [`DeliveryClass::Lossless`], the default contract.
+    #[inline]
+    pub fn class(&self, id: ActionId) -> DeliveryClass {
+        let bit = id.0 as usize * 2;
+        if !self.classes.test(bit) {
+            DeliveryClass::Lossless
+        } else if self.classes.test(bit + 1) {
+            DeliveryClass::Coalesce
+        } else {
+            DeliveryClass::BestEffort
+        }
     }
 
     /// The name of an action.
@@ -131,13 +157,14 @@ impl ActionRegistry {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let meta = self.meta.lock();
         let mut h = FNV_OFFSET;
-        for (name, class) in meta.names.iter().zip(&meta.classes) {
+        for (id, name) in meta.names.iter().enumerate() {
+            let class = self.class(ActionId(id as u32));
             for b in name.as_bytes() {
                 h = (h ^ *b as u64).wrapping_mul(FNV_PRIME);
             }
             // Separator so ["ab","c"] and ["a","bc"] differ.
             h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
-            h = (h ^ *class as u64).wrapping_mul(FNV_PRIME);
+            h = (h ^ class as u64).wrapping_mul(FNV_PRIME);
         }
         h
     }
@@ -219,10 +246,10 @@ mod tests {
         let a = reg.register("plain", echo_handler());
         let b = reg.register_with_class("be", DeliveryClass::BestEffort, echo_handler());
         let c = reg.register_with_class("co", DeliveryClass::Coalesce, echo_handler());
-        assert_eq!(reg.class(a), Some(DeliveryClass::Lossless));
-        assert_eq!(reg.class(b), Some(DeliveryClass::BestEffort));
-        assert_eq!(reg.class(c), Some(DeliveryClass::Coalesce));
-        assert_eq!(reg.class(ActionId(9)), None);
+        assert_eq!(reg.class(a), DeliveryClass::Lossless);
+        assert_eq!(reg.class(b), DeliveryClass::BestEffort);
+        assert_eq!(reg.class(c), DeliveryClass::Coalesce);
+        assert_eq!(reg.class(ActionId(9)), DeliveryClass::Lossless);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 pub mod action;
 pub mod batch;
+mod class;
 pub mod egress;
 pub mod parcel;
 pub mod port;

@@ -12,10 +12,11 @@
 //! background time) and drives the fabric's send/receive pumps.
 //!
 //! The send fast path is lock-free and allocation-free in steady state:
-//! the interceptor table and direct-action set are read with plain
-//! `Acquire` loads ([`SlotTable`]/[`BitTable`]), hooks live in
-//! [`ArcCell`]s, single-parcel batches store their parcel inline (no
-//! buffer at all), and the egress queue is drained in one sweep per pump.
+//! the interceptor table, the direct-action set and the registry's class
+//! table are read with plain `Acquire` loads ([`SlotTable`]/[`BitTable`]),
+//! per-class admission is one call into the private `class` module, hooks
+//! live in [`ArcCell`]s, single-parcel batches store their parcel inline
+//! (no buffer at all), and the egress queue is drained in one sweep per pump.
 //!
 //! ## Receive path
 //!
@@ -39,13 +40,14 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use rpx_agas::Gid;
-use rpx_net::{DeliveryClass, Message, MessageKind, TransportPort};
+use rpx_net::{Message, MessageKind, TransportPort};
 use rpx_serialize::{ArchiveReader, ArchiveWriter, WireError};
 use rpx_util::sync::{ArcCell, BitTable, SlotTable};
 use rpx_util::{IdAllocator, LogHistogram};
 
 use crate::action::{ActionId, ActionRegistry};
 use crate::batch::ParcelBatch;
+use crate::class::{self, RecvFilters, SendStage};
 use crate::egress::{EgressEntry, EgressQueue};
 use crate::parcel::Parcel;
 
@@ -137,21 +139,18 @@ pub struct ParcelPortStats {
     /// Nanoseconds Lossless/Coalesce submitters spent blocked waiting for
     /// a destination's backlog to fall below the watermark.
     pub backpressure_blocked_ns: AtomicU64,
-    /// Send-side sheds per destination locality (backpressure sheds plus
-    /// global BestEffort backlog-bound sheds) — the per-endpoint-pair
+    /// Send-side sheds per destination locality (every cause the `class`
+    /// ledger books at submit or pump time) — the per-endpoint-pair
     /// breakdown behind the exact `delivered + shed == sent` accounting.
-    shed_by_dest: Mutex<HashMap<u32, u64>>,
+    pub(crate) shed_by_dest: Mutex<HashMap<u32, u64>>,
 }
 
 impl ParcelPortStats {
-    /// Parcels this port shed at submit time that were bound for `dst`
-    /// (backpressure admission plus the global BestEffort backlog bound).
+    /// BestEffort parcels bound for `dst` that this port shed on its send
+    /// side: at the watermark, at the global egress bound, or at pump time
+    /// against a backed-up transport.
     pub fn sheds_to(&self, dst: u32) -> u64 {
         self.shed_by_dest.lock().get(&dst).copied().unwrap_or(0)
-    }
-
-    fn record_shed(&self, dst: u32) {
-        *self.shed_by_dest.lock().entry(dst).or_insert(0) += 1;
     }
 }
 
@@ -181,13 +180,15 @@ impl Default for ParcelPortStats {
 /// Sentinel for "no continuation action installed".
 const NO_ACTION: u32 = u32::MAX;
 
+/// Egress entries encoded per pump sweep: bounds the per-poll latency of
+/// the background thread (the paper's HPX analogue drains its parcel
+/// queues in similarly bounded chunks). A constant, not an option: nothing
+/// outside unit tests ever set another value.
+pub(crate) const EGRESS_DRAIN_BUDGET: usize = 8;
+
 /// Tunables of a [`ParcelPort`], plumbed down from the cluster builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParcelPortConfig {
-    /// Egress entries encoded per pump sweep (bounds per-poll latency of
-    /// the background thread; the paper's HPX analogue drains its parcel
-    /// queues in similarly bounded chunks).
-    pub egress_drain_budget: usize,
     /// Load-shedding bound for BestEffort-class actions: when the egress
     /// queue (at submit time) or the transport's outbound backlog (at
     /// pump time) holds at least this many entries, further BestEffort
@@ -199,34 +200,26 @@ pub struct ParcelPortConfig {
     /// egress entries queued for one destination reaches this bound,
     /// admission control engages for further parcels to that destination
     /// — BestEffort parcels are shed (counted in `backpressure_shed`),
-    /// Lossless/Coalesce submitters block for up to
-    /// `backpressure_block_us` waiting for the backlog to drain (time
-    /// counted in `backpressure_blocked_ns`), then proceed. `None`
-    /// disables the watermark (the default).
+    /// Lossless/Coalesce submitters block for at most 500 µs waiting for
+    /// the backlog to drain (time counted in `backpressure_blocked_ns`),
+    /// then proceed. `None` disables the watermark (the default).
     pub backpressure_watermark: Option<usize>,
-    /// Upper bound, in microseconds, on how long one Lossless/Coalesce
-    /// submission may block at the watermark before being admitted
-    /// anyway. Bounded so a submitter on a pump thread can never
-    /// deadlock against its own drain.
-    pub backpressure_block_us: u64,
 }
 
 impl Default for ParcelPortConfig {
     fn default() -> Self {
         ParcelPortConfig {
-            egress_drain_budget: 8,
             best_effort_backlog: 1024,
             backpressure_watermark: None,
-            backpressure_block_us: 500,
         }
     }
 }
 
-struct Inner {
+pub(crate) struct Inner {
     locality: u32,
-    actions: Arc<ActionRegistry>,
-    net: Arc<dyn TransportPort>,
-    config: ParcelPortConfig,
+    pub(crate) actions: Arc<ActionRegistry>,
+    pub(crate) net: Arc<dyn TransportPort>,
+    pub(crate) config: ParcelPortConfig,
     /// Per-action send hooks, indexed by `ActionId` — lock-free reads on
     /// every `send_parcel`.
     interceptors: SlotTable<dyn ParcelInterceptor>,
@@ -234,22 +227,9 @@ struct Inner {
     /// spawned as tasks (HPX "direct actions"); used for cheap runtime
     /// internals like continuation delivery.
     direct_actions: BitTable,
-    /// Actions registered under [`DeliveryClass::BestEffort`] — their
-    /// parcels are shed past the backlog bound and deduplicated on the
-    /// receive side. Lock-free reads on every send and delivery.
-    best_effort_actions: BitTable,
-    /// Actions registered under [`DeliveryClass::Coalesce`] — their
-    /// messages carry the Coalesce class bit and receivers keep only
-    /// monotone-latest values.
-    coalesce_actions: BitTable,
-    /// BestEffort receive dedup: per-source sliding window over parcel
-    /// ids (ids are allocated monotonically per sender), so a
-    /// wire-duplicated unsequenced frame is delivered at most once.
-    be_dedup: Mutex<HashMap<u32, DedupWindow>>,
-    /// Coalesce monotone-latest filter: highest parcel id delivered per
-    /// (source locality, action); stale values are discarded.
-    coalesce_seen: Mutex<HashMap<(u32, u32), u64>>,
-    egress: EgressQueue,
+    /// Receive-side BestEffort dedup and Coalesce newest-wins state.
+    pub(crate) recv: RecvFilters,
+    pub(crate) egress: EgressQueue,
     spawner: ArcCell<SpawnFn>,
     /// Batched spawner: one scheduler admission per coalesced message
     /// instead of one per parcel. Optional — absent, the port degrades to
@@ -263,7 +243,7 @@ struct Inner {
     control: ArcCell<dyn Fn(Message) + Send + Sync>,
     notify: ArcCell<dyn Fn() + Send + Sync>,
     ids: IdAllocator,
-    stats: ParcelPortStats,
+    pub(crate) stats: ParcelPortStats,
     /// Egress entries popped but not yet handed to the fabric (mid-pump);
     /// keeps quiescence checks honest.
     ///
@@ -274,108 +254,6 @@ struct Inner {
     /// work. SeqCst is unnecessary: there is no multi-variable total-order
     /// requirement, only this happens-before pairing.
     processing: AtomicUsize,
-}
-
-/// Words in the dedup bitmap; the window spans `DEDUP_WORDS * 64` ids.
-const DEDUP_WORDS: usize = 16;
-const DEDUP_WINDOW: u64 = DEDUP_WORDS as u64 * 64;
-
-/// Sliding at-most-once window over the monotone parcel ids of one
-/// source locality, deduplicating BestEffort traffic (which travels
-/// unsequenced, so a wire-duplicated frame reaches this layer twice).
-///
-/// Bit `i` of the bitmap records delivery of `max_id - i`; ids behind
-/// the whole window are discarded as stale — erring on the
-/// at-most-once side, which is the BestEffort contract. The window is
-/// wide enough (1024 ids) that a frame has to be displaced far past
-/// anything wire reordering or pump-thread scheduling produces before
-/// at-most-once has to discard it as stale.
-#[derive(Debug)]
-struct DedupWindow {
-    max_id: u64,
-    /// Seen-bits for offsets behind `max_id`: offset `k` lives at bit
-    /// `k % 64` of word `k / 64` (word 0 bit 0 is `max_id` itself).
-    bitmap: [u64; DEDUP_WORDS],
-    seeded: bool,
-}
-
-impl Default for DedupWindow {
-    fn default() -> Self {
-        DedupWindow {
-            max_id: 0,
-            bitmap: [0; DEDUP_WORDS],
-            seeded: false,
-        }
-    }
-}
-
-/// The dedup window's verdict for one arriving BestEffort parcel id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admit {
-    /// Not seen before: deliver.
-    Fresh,
-    /// Inside the window with its seen-bit already set: a wire duplicate,
-    /// suppressed and charged to `duplicates_suppressed`.
-    Duplicate,
-    /// Behind the window entirely — the wire reordered this frame so far
-    /// past its peers that at-most-once can no longer prove it unseen.
-    /// Discarded and charged to `best_effort_dropped` (the receive-side
-    /// half of the `delivered + dropped == sent` accounting), never to
-    /// the duplicate gauge.
-    Stale,
-}
-
-impl DedupWindow {
-    /// Record `id` and classify it (see [`Admit`]).
-    fn admit(&mut self, id: u64) -> Admit {
-        if !self.seeded {
-            self.seeded = true;
-            self.max_id = id;
-            self.bitmap[0] = 1;
-            return Admit::Fresh;
-        }
-        if id > self.max_id {
-            self.shift(id - self.max_id);
-            self.bitmap[0] |= 1;
-            self.max_id = id;
-            Admit::Fresh
-        } else {
-            let back = self.max_id - id;
-            if back >= DEDUP_WINDOW {
-                return Admit::Stale;
-            }
-            let (word, bit) = ((back / 64) as usize, 1u64 << (back % 64));
-            if self.bitmap[word] & bit != 0 {
-                Admit::Duplicate
-            } else {
-                self.bitmap[word] |= bit;
-                Admit::Fresh
-            }
-        }
-    }
-
-    /// Slide the window forward by `ahead` ids: every seen-bit moves to a
-    /// higher back-offset, bits pushed past the window fall off.
-    fn shift(&mut self, ahead: u64) {
-        if ahead >= DEDUP_WINDOW {
-            self.bitmap = [0; DEDUP_WORDS];
-            return;
-        }
-        let (words, bits) = ((ahead / 64) as usize, (ahead % 64) as u32);
-        for w in (0..DEDUP_WORDS).rev() {
-            let lo = if w >= words {
-                self.bitmap[w - words]
-            } else {
-                0
-            };
-            let hi = if bits > 0 && w > words {
-                self.bitmap[w - words - 1] >> (64 - bits)
-            } else {
-                0
-            };
-            self.bitmap[w] = (lo << bits) | hi;
-        }
-    }
 }
 
 /// The per-locality parcel engine.
@@ -402,10 +280,6 @@ impl ParcelPort {
         actions: Arc<ActionRegistry>,
         config: ParcelPortConfig,
     ) -> Arc<Self> {
-        assert!(
-            config.egress_drain_budget > 0,
-            "egress_drain_budget must be at least 1"
-        );
         let inner = Arc::new(Inner {
             locality,
             actions,
@@ -413,10 +287,7 @@ impl ParcelPort {
             config,
             interceptors: SlotTable::new(),
             direct_actions: BitTable::new(),
-            best_effort_actions: BitTable::new(),
-            coalesce_actions: BitTable::new(),
-            be_dedup: Mutex::new(HashMap::new()),
-            coalesce_seen: Mutex::new(HashMap::new()),
+            recv: RecvFilters::default(),
             egress: EgressQueue::new(),
             spawner: ArcCell::new(),
             batch_spawner: ArcCell::new(),
@@ -449,11 +320,6 @@ impl ParcelPort {
     /// The underlying transport port.
     pub fn net(&self) -> &Arc<dyn TransportPort> {
         &self.inner.net
-    }
-
-    /// This port's tunables.
-    pub fn config(&self) -> &ParcelPortConfig {
-        &self.inner.config
     }
 
     /// The shared action registry.
@@ -511,22 +377,6 @@ impl ParcelPort {
     /// suitable for short, non-blocking handlers.
     pub fn set_direct(&self, action: ActionId) {
         self.inner.direct_actions.set(action.0 as usize);
-    }
-
-    /// Declare the delivery class of `action` on this port (called by
-    /// the runtime at registration; [`DeliveryClass::Lossless`] needs no
-    /// marking — it is the default for unmarked actions).
-    pub fn set_action_class(&self, action: ActionId, class: DeliveryClass) {
-        match class {
-            DeliveryClass::Lossless => {}
-            DeliveryClass::BestEffort => self.inner.best_effort_actions.set(action.0 as usize),
-            DeliveryClass::Coalesce => self.inner.coalesce_actions.set(action.0 as usize),
-        }
-    }
-
-    /// The delivery class `action` is marked with on this port.
-    pub fn action_class(&self, action: ActionId) -> DeliveryClass {
-        action_class(&self.inner, action)
     }
 
     /// This port's [`SendPath`] for an interceptor installed *on this
@@ -595,8 +445,10 @@ impl ParcelPort {
             // Raise the in-flight gauge before taking entries out of the
             // queue (see `Inner::processing` ordering notes).
             self.inner.processing.fetch_add(1, Ordering::Acquire);
-            let budget = self.inner.config.egress_drain_budget;
-            let taken = self.inner.egress.drain_into(&mut drain, budget);
+            let taken = self
+                .inner
+                .egress
+                .drain_into(&mut drain, EGRESS_DRAIN_BUDGET);
             if taken == 0 {
                 self.inner.processing.fetch_sub(1, Ordering::Release);
                 return;
@@ -606,18 +458,10 @@ impl ParcelPort {
                 // Batches are per-action (interceptors queue one action;
                 // unintercepted parcels travel as singles), so the first
                 // parcel's class is the message's class.
-                let class = action_class(&self.inner, batch[0].action);
-                if class == DeliveryClass::BestEffort
-                    && self.inner.net.outbound_backlog() >= self.inner.config.best_effort_backlog
-                {
-                    // Transport under pressure: shed BestEffort load here
-                    // rather than grow the wire backlog. The drop is
-                    // accounted, never owed to quiescence.
-                    self.inner
-                        .net
-                        .stats()
-                        .best_effort_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                let class = self.inner.actions.class(batch[0].action);
+                if !class::admit(&self.inner, SendStage::Pump, dst, class, batch.len()) {
+                    // Shed rather than grow a backed-up wire: accounted
+                    // per parcel, never owed to quiescence.
                     continue;
                 }
                 self.inner.stats.flush_occupancy.record(batch.len() as u64);
@@ -700,81 +544,10 @@ impl SendPath for WeakSendPath {
     }
 }
 
-/// The delivery class of `action` as marked on this port (lock-free).
-fn action_class(inner: &Inner, action: ActionId) -> DeliveryClass {
-    if inner.best_effort_actions.test(action.0 as usize) {
-        DeliveryClass::BestEffort
-    } else if inner.coalesce_actions.test(action.0 as usize) {
-        DeliveryClass::Coalesce
-    } else {
-        DeliveryClass::Lossless
-    }
-}
-
-/// Per-destination egress admission control: returns `false` if the
-/// parcel must be shed.
-///
-/// When the destination's egress backlog sits at or above the watermark,
-/// the action's [`DeliveryClass`] decides the response: BestEffort load
-/// is shed immediately (bounded memory, accounted exactly), while
-/// Lossless and Coalesce submitters block — in short sleeps, re-checking
-/// the backlog — for at most `backpressure_block_us` before being
-/// admitted anyway (the bound makes deadlock against the submitter's own
-/// pump impossible). Every admission that hits the watermark increments
-/// `backpressure_events` exactly once.
-fn backpressure_admit(inner: &Inner, dst: u32, class: DeliveryClass) -> bool {
-    let Some(watermark) = inner.config.backpressure_watermark else {
-        return true;
-    };
-    if inner.egress.dest_backlog(dst) < watermark {
-        return true;
-    }
-    inner
-        .stats
-        .backpressure_events
-        .fetch_add(1, Ordering::Relaxed);
-    if class == DeliveryClass::BestEffort {
-        inner
-            .stats
-            .backpressure_shed
-            .fetch_add(1, Ordering::Relaxed);
-        inner.stats.record_shed(dst);
-        return false;
-    }
-    let started = std::time::Instant::now();
-    let deadline = std::time::Duration::from_micros(inner.config.backpressure_block_us);
-    while started.elapsed() < deadline && inner.egress.dest_backlog(dst) >= watermark {
-        std::thread::sleep(std::time::Duration::from_micros(50));
-    }
-    inner
-        .stats
-        .backpressure_blocked_ns
-        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    true
-}
-
 /// Hand `parcel` to its action's interceptor, or straight to egress.
 fn route_parcel(inner: &Inner, parcel: Parcel) {
-    if inner.best_effort_actions.test(parcel.action.0 as usize)
-        && inner.egress.len() >= inner.config.best_effort_backlog
-    {
-        // BestEffort load shedding at submit time: past the backlog
-        // bound the parcel is dropped (and accounted) instead of queued,
-        // so an overloaded BestEffort producer cannot grow the egress
-        // queue without bound or wedge quiescence.
-        inner
-            .net
-            .stats()
-            .best_effort_dropped
-            .fetch_add(1, Ordering::Relaxed);
-        inner.stats.record_shed(parcel.dest_locality);
-        return;
-    }
-    if !backpressure_admit(
-        inner,
-        parcel.dest_locality,
-        action_class(inner, parcel.action),
-    ) {
+    let class = inner.actions.class(parcel.action);
+    if !class::admit(inner, SendStage::Submit, parcel.dest_locality, class, 1) {
         return;
     }
     match inner.interceptors.get(parcel.action.0 as usize) {
@@ -843,65 +616,9 @@ fn receive_message(inner: &Arc<Inner>, message: Message) {
     }
 }
 
-/// Per-class receive admission: `true` if the parcel should execute.
-///
-/// * BestEffort parcels are deduplicated against the per-source sliding
-///   window — BestEffort travels unsequenced, so a wire-duplicated frame
-///   reaches this layer twice and would otherwise double-execute.
-/// * Coalesce parcels deliver only monotone-latest values per
-///   (source, action): a stale value arriving after a newer one (wire
-///   reordering, retransmit races) is discarded, preserving the
-///   newest-wins contract end to end. Parcels carrying a continuation
-///   bypass the filter — a promise must always be resolved.
-/// * Lossless parcels are always admitted (exactly-once is the
-///   reliability sublayer's job).
-fn admit_parcel(inner: &Arc<Inner>, parcel: &Parcel) -> bool {
-    if inner.best_effort_actions.test(parcel.action.0 as usize) {
-        let verdict = inner
-            .be_dedup
-            .lock()
-            .entry(parcel.src_locality)
-            .or_default()
-            .admit(parcel.id);
-        match verdict {
-            Admit::Fresh => return true,
-            Admit::Duplicate => {
-                inner
-                    .net
-                    .stats()
-                    .duplicates_suppressed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Admit::Stale => {
-                inner
-                    .net
-                    .stats()
-                    .best_effort_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        return false;
-    }
-    if inner.coalesce_actions.test(parcel.action.0 as usize) && !parcel.continuation.is_valid() {
-        let mut seen = inner.coalesce_seen.lock();
-        let last = seen
-            .entry((parcel.src_locality, parcel.action.0))
-            .or_insert(0);
-        if parcel.id <= *last {
-            inner
-                .stats
-                .coalesce_stale_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        *last = parcel.id;
-    }
-    true
-}
-
 /// Deliver one decoded parcel: inline if direct, else one spawned task.
 fn deliver_single(inner: &Arc<Inner>, parcel: Parcel) {
-    if !admit_parcel(inner, &parcel) {
+    if !class::admit_recv(inner, &parcel) {
         return;
     }
     let weak = Arc::downgrade(inner);
@@ -942,7 +659,7 @@ fn deliver_coalesced(inner: &Arc<Inner>, parcels: Vec<Parcel>) {
     debug_assert!(scratch.is_empty());
     scratch.reserve(parcels.len());
     for parcel in parcels {
-        if !admit_parcel(inner, &parcel) {
+        if !class::admit_recv(inner, &parcel) {
             continue;
         }
         let weak = Arc::downgrade(inner);
@@ -1028,7 +745,7 @@ pub fn decode_continuation_args(args: Bytes) -> Result<(Gid, Bytes), WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpx_net::{LinkModel, SimTransport};
+    use rpx_net::{DeliveryClass, LinkModel, SimTransport};
     use rpx_serialize::{from_bytes, to_bytes};
     use std::time::{Duration, Instant};
 
@@ -1390,88 +1107,20 @@ mod tests {
     }
 
     #[test]
-    fn egress_drain_budget_bounds_one_pump_sweep() {
-        let fabric = SimTransport::new(2, LinkModel::zero());
-        let actions = ActionRegistry::new();
+    fn one_pump_sweep_encodes_at_most_the_drain_budget() {
+        let (p0, _p1, actions) = two_ports();
         let act = actions.register("noop", Arc::new(|_| Ok(Bytes::new())));
-        let p0 = ParcelPort::with_config(
-            0,
-            Arc::new(fabric.port(0)),
-            Arc::clone(&actions),
-            ParcelPortConfig {
-                egress_drain_budget: 2,
-                ..ParcelPortConfig::default()
-            },
-        );
-        assert_eq!(p0.config().egress_drain_budget, 2);
-        for _ in 0..5 {
+        for _ in 0..EGRESS_DRAIN_BUDGET + 3 {
             p0.send_parcel(plain_parcel(1, act, Bytes::new()));
         }
-        assert_eq!(p0.egress_backlog(), 5);
+        assert_eq!(p0.egress_backlog(), EGRESS_DRAIN_BUDGET + 3);
         p0.pump();
-        // One sweep encodes exactly the configured budget.
-        assert_eq!(p0.stats().messages_sent.load(Ordering::SeqCst), 2);
+        // One sweep encodes exactly the budget.
+        assert_eq!(
+            p0.stats().messages_sent.load(Ordering::SeqCst),
+            EGRESS_DRAIN_BUDGET as u64
+        );
         assert_eq!(p0.egress_backlog(), 3);
-    }
-
-    #[test]
-    fn dedup_window_admits_each_id_once() {
-        let mut w = DedupWindow::default();
-        assert_eq!(w.admit(5), Admit::Fresh);
-        assert_eq!(w.admit(5), Admit::Duplicate, "exact duplicate");
-        assert_eq!(w.admit(7), Admit::Fresh);
-        assert_eq!(w.admit(6), Admit::Fresh, "in-window gap fill");
-        assert_eq!(w.admit(6), Admit::Duplicate, "gap-fill duplicate");
-        assert_eq!(w.admit(7), Admit::Duplicate);
-        // A jump past the whole window clears it.
-        assert_eq!(w.admit(7 + DEDUP_WINDOW), Admit::Fresh);
-        assert_eq!(w.admit(7 + DEDUP_WINDOW), Admit::Duplicate);
-        let max = 7 + DEDUP_WINDOW;
-        // Behind the window: a reorder casualty, not a duplicate.
-        assert_eq!(w.admit(max - DEDUP_WINDOW), Admit::Stale);
-        // Still inside the window, even at its far edge.
-        assert_eq!(w.admit(max - (DEDUP_WINDOW - 1)), Admit::Fresh);
-        assert_eq!(w.admit(max - (DEDUP_WINDOW - 1)), Admit::Duplicate);
-    }
-
-    #[test]
-    fn dedup_window_shift_carries_bits_across_words() {
-        // Seen-bits must survive slides that cross word boundaries: mark
-        // every id in a stretch, slide by an unaligned amount, and verify
-        // each old id still reads as a duplicate at its new offset.
-        let mut w = DedupWindow::default();
-        for id in 100..164 {
-            assert_eq!(w.admit(id), Admit::Fresh);
-        }
-        // Unaligned slide: 70 = one word + 6 bits.
-        assert_eq!(w.admit(163 + 70), Admit::Fresh);
-        for id in 100..164 {
-            assert_eq!(w.admit(id), Admit::Duplicate, "id {id} lost in shift");
-        }
-        // An id never seen in that stretch's neighbourhood is still fresh.
-        assert_eq!(w.admit(99), Admit::Fresh);
-    }
-
-    #[test]
-    fn action_class_marks_and_stamps_messages() {
-        let (p0, _p1, actions) = two_ports();
-        let be = actions.register_with_class(
-            "be",
-            DeliveryClass::BestEffort,
-            Arc::new(|_| Ok(Bytes::new())),
-        );
-        let co = actions.register_with_class(
-            "co",
-            DeliveryClass::Coalesce,
-            Arc::new(|_| Ok(Bytes::new())),
-        );
-        let ll = actions.register("ll", Arc::new(|_| Ok(Bytes::new())));
-        p0.set_action_class(be, DeliveryClass::BestEffort);
-        p0.set_action_class(co, DeliveryClass::Coalesce);
-        p0.set_action_class(ll, DeliveryClass::Lossless);
-        assert_eq!(p0.action_class(be), DeliveryClass::BestEffort);
-        assert_eq!(p0.action_class(co), DeliveryClass::Coalesce);
-        assert_eq!(p0.action_class(ll), DeliveryClass::Lossless);
     }
 
     #[test]
@@ -1488,12 +1137,10 @@ mod tests {
             Arc::new(fabric.port(0)),
             Arc::clone(&actions),
             ParcelPortConfig {
-                egress_drain_budget: 8,
                 best_effort_backlog: 4,
                 ..ParcelPortConfig::default()
             },
         );
-        p0.set_action_class(be, DeliveryClass::BestEffort);
         for _ in 0..10 {
             p0.send_parcel(plain_parcel(1, be, Bytes::new()));
         }
@@ -1519,8 +1166,6 @@ mod tests {
                 Ok(Bytes::new())
             }),
         );
-        p0.set_action_class(be, DeliveryClass::BestEffort);
-        p1.set_action_class(be, DeliveryClass::BestEffort);
         p0.net()
             .set_fault_plan(Some(Arc::new(rpx_net::FaultPlan::duplicate_every(1))));
         for _ in 0..10 {
@@ -1556,8 +1201,6 @@ mod tests {
                 Ok(Bytes::new())
             }),
         );
-        p0.set_action_class(co, DeliveryClass::Coalesce);
-        p1.set_action_class(co, DeliveryClass::Coalesce);
         // Reorder the wire: every 3rd message is displaced.
         p0.net()
             .set_fault_plan(Some(Arc::new(rpx_net::FaultPlan::reorder_window(3))));
@@ -1630,7 +1273,6 @@ mod tests {
             Arc::clone(actions),
             ParcelPortConfig {
                 backpressure_watermark: Some(watermark),
-                backpressure_block_us: 200,
                 ..ParcelPortConfig::default()
             },
         );
@@ -1647,7 +1289,6 @@ mod tests {
             Arc::new(|_| Ok(Bytes::new())),
         );
         let (p0, _fabric) = watermarked_port(2, &actions);
-        p0.set_action_class(be, DeliveryClass::BestEffort);
         for _ in 0..6 {
             p0.send_parcel(plain_parcel(1, be, Bytes::new()));
         }

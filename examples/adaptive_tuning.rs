@@ -19,7 +19,9 @@ use rpx_adaptive::Ladder;
 
 fn main() {
     let rt = Runtime::new(RuntimeConfig::default());
-    let act = rt.action("adapt::get").register(|(): ()| Complex64::new(13.3, -23.8));
+    let act = rt
+        .action("adapt::get")
+        .register(|(): ()| Complex64::new(13.3, -23.8));
 
     // Start from the pessimal setting: one parcel per message.
     let control = rt

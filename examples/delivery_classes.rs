@@ -39,8 +39,13 @@ fn main() {
 
     let pair = run_statesync_pair(&config).expect("state-sync pair");
 
-    println!("state-sync fan-in: {} streams x {} updates, update every {:?}, coalesce interval {:?}",
-        config.producers, config.updates_per_stream, config.update_interval, config.coalesce_interval);
+    println!(
+        "state-sync fan-in: {} streams x {} updates, update every {:?}, coalesce interval {:?}",
+        config.producers,
+        config.updates_per_stream,
+        config.update_interval,
+        config.coalesce_interval
+    );
     println!(
         "  {:<9} {:>8} {:>12} {:>10} {:>13}",
         "class", "updates", "wire bytes", "messages", "wall"

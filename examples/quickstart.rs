@@ -16,7 +16,9 @@ fn main() {
 
     // Register a remotely invocable action on every locality — the
     // analogue of HPX_PLAIN_ACTION in Listing 1 of the paper.
-    let get_cplx = rt.action("get_cplx").register(|(): ()| Complex64::new(13.3, -23.8));
+    let get_cplx = rt
+        .action("get_cplx")
+        .register(|(): ()| Complex64::new(13.3, -23.8));
 
     // Flag it for message coalescing (HPX_ACTION_USES_MESSAGE_COALESCING):
     // up to 32 parcels per message, flushed after 2000 µs at the latest.

@@ -29,7 +29,9 @@ fn controller_raises_nparcels_under_dense_traffic() {
     // Start pessimal (nparcels = 1) under dense fine-grained traffic; the
     // overhead-driven controller must climb away from 1.
     let rt = cluster_runtime();
-    let act = rt.action("ad::get").register(|(): ()| Complex64::new(13.3, -23.8));
+    let act = rt
+        .action("ad::get")
+        .register(|(): ()| Complex64::new(13.3, -23.8));
     let control = rt
         .enable_coalescing(
             "ad::get",

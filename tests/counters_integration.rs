@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use rpx::{CoalescingParams, CounterValue, Runtime, RuntimeConfig};
+use rpx::{CoalescingParams, CounterValue, Runtime, RuntimeConfig, TelemetryConfig};
 
 fn traffic_runtime() -> (std::sync::Arc<Runtime>, rpx::CoalescingControl) {
     let rt = Runtime::new(RuntimeConfig::small_test());
@@ -220,7 +220,7 @@ fn counter_reset_zeroes_traffic_counts() {
 
 #[test]
 fn sampler_observes_live_traffic() {
-    use rpx_counters::Sampler;
+    const PARCELS: &str = "/coalescing/count/parcels@ctr::sampled";
     let rt = Runtime::new(RuntimeConfig::small_test());
     let act = rt.action("ctr::sampled").register(|x: u64| x);
     let _control = rt
@@ -229,17 +229,25 @@ fn sampler_observes_live_traffic() {
             CoalescingParams::new(8, Duration::from_micros(1000)),
         )
         .unwrap();
-    let sampler = Sampler::start(
-        std::sync::Arc::clone(rt.locality(0).counters()),
-        &["/coalescing/count/parcels@ctr::sampled"],
-        Duration::from_millis(1),
-    );
+    let sampler = rt
+        .start_telemetry(
+            0,
+            TelemetryConfig {
+                interval: Duration::from_millis(1),
+                patterns: vec![PARCELS.to_string()],
+                ..TelemetryConfig::default()
+            },
+        )
+        .unwrap();
+    // The first sample is taken immediately, before any traffic.
+    sampler.tick_now();
     rt.run_on(0, move |ctx| {
         let futures: Vec<_> = (0..300).map(|i| ctx.async_action(&act, 1, i)).collect();
         ctx.wait_all(futures).unwrap();
     });
-    let series = sampler.stop();
-    let values = series[0].values_f64();
+    sampler.tick_now();
+    sampler.stop();
+    let values = sampler.series(PARCELS).unwrap().values();
     assert!(!values.is_empty());
     // Monotone counter observed while growing.
     assert!(values.windows(2).all(|w| w[0] <= w[1]));

@@ -6,14 +6,16 @@
 //! failures instead of hanging.
 //!
 //! The N-process cases shell out to the `repro` binary (`launch` /
-//! `worker` subcommands), discovered next to this test binary's target
-//! directory; `RPX_REPRO_BIN` overrides discovery. Timing-dependent
-//! quantities (coalesced message counts) are deliberately *not* parity
-//! quantities — only shape properties are asserted for those.
+//! `worker` subcommands), discovered in this test binary's target
+//! directory and built there if absent; `RPX_REPRO_BIN` overrides
+//! discovery. Timing-dependent quantities (coalesced message counts) are
+//! deliberately *not* parity quantities — only shape properties are
+//! asserted for those.
 
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use rpx::{BootstrapMode, Runtime, RuntimeConfig, ShmTuning, Topology, TransportKind};
@@ -42,25 +44,58 @@ fn worker_toy_cfg() -> MultiprocToyConfig {
     }
 }
 
-/// Locate the `repro` binary: `RPX_REPRO_BIN`, else next to this test
-/// binary (`target/<profile>/deps/self` → `target/<profile>/repro`).
-fn repro_bin() -> Option<PathBuf> {
-    if let Ok(path) = std::env::var("RPX_REPRO_BIN") {
-        let path = PathBuf::from(path);
-        return path.exists().then_some(path);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let profile_dir = exe.parent()?.parent()?;
-    let candidate = profile_dir.join("repro");
-    candidate.exists().then_some(candidate)
+/// Locate the `repro` binary: `RPX_REPRO_BIN`, else `target/<profile>/repro`
+/// for this test binary's profile (`target/<profile>/deps/self`) or a
+/// sibling profile, else build it — once per test process, same profile.
+/// The root package does not depend on `rpx-bench`, so neither
+/// `cargo build` nor `cargo test` at the root produces it.
+fn repro_bin() -> &'static Path {
+    static BIN: OnceLock<PathBuf> = OnceLock::new();
+    BIN.get_or_init(|| {
+        if let Ok(path) = std::env::var("RPX_REPRO_BIN") {
+            assert!(Path::new(&path).exists(), "RPX_REPRO_BIN={path} not found");
+            return PathBuf::from(path);
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let profile_dir = exe
+            .parent()
+            .and_then(Path::parent)
+            .expect("test binary lives in target/<profile>/deps");
+        let target_dir = profile_dir.parent().expect("profile dir has a parent");
+        let profile = profile_dir.file_name().expect("profile dir has a name");
+        let found = [profile, "release".as_ref(), "debug".as_ref()]
+            .iter()
+            .map(|p| target_dir.join(p).join("repro"))
+            .find(|bin| bin.exists());
+        if let Some(bin) = found {
+            return bin;
+        }
+        let mut build = Command::new(env!("CARGO"));
+        build
+            .args([
+                "build",
+                "-p",
+                "rpx-bench",
+                "--bin",
+                "repro",
+                "--manifest-path",
+            ])
+            .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"))
+            .arg("--target-dir")
+            .arg(target_dir);
+        if profile != "debug" {
+            build.arg("--profile").arg(profile);
+        }
+        let status = build.status().expect("run cargo build for repro");
+        assert!(status.success(), "building the repro binary failed");
+        profile_dir.join("repro")
+    })
 }
 
 /// Run `repro launch` against a private counters dir; returns the exit
 /// code, elapsed wall time, and the aggregate report text (if written).
 fn run_launch(tag: &str, args: &[&str], env: &[(&str, &str)]) -> (i32, Duration, Option<String>) {
-    let Some(bin) = repro_bin() else {
-        panic!("repro binary not found; build it or set RPX_REPRO_BIN");
-    };
+    let bin = repro_bin();
     let dir = std::env::temp_dir().join(format!("rpx-parity-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let start = Instant::now();
@@ -359,14 +394,14 @@ fn killed_rank_fails_fast_without_hanging() {
 /// pending result promises — never hang waiting for replies.
 #[test]
 fn survivor_exits_nonzero_without_launcher_intervention() {
-    let bin = repro_bin().expect("repro binary not found; build it or set RPX_REPRO_BIN");
+    let bin = repro_bin();
     let book = reserve_addrs(2)
         .iter()
         .map(|a| a.to_string())
         .collect::<Vec<_>>()
         .join(",");
     let spawn = |rank: u32| {
-        let mut cmd = Command::new(&bin);
+        let mut cmd = Command::new(bin);
         cmd.args(["worker", "toy"])
             .env("RPX_RANK", rank.to_string())
             .env("RPX_NUM_LOCALITIES", "2")
