@@ -5,7 +5,7 @@
 //! all land on a single pump thread, which must multiplex them through
 //! one epoll set, batch `readv` into recycled buffers, and decode frames
 //! in place. A thread-per-connection design pays N stacks and N blocked
-//! reads here; the event loop pays O(pump_threads).
+//! reads here; the event loop pays one thread.
 //!
 //! Each timed round writes one pre-encoded frame per client and pumps
 //! the receiving port until every frame is delivered, so the reported
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rpx_net::{encode_frame, Message, MessageKind, TcpTransport};
+use rpx_net::{encode_frame, Message, MessageKind, TcpTransport, Transport};
 
 fn fan_in_conns() -> usize {
     std::env::var("FAN_IN_CONNS")

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rpx_net::{Message, MessageKind, ShmTuning, TcpTuning, TransportKind, TransportPort};
+use rpx_net::{Message, MessageKind, ShmTuning, TransportKind, TransportPort};
 
 fn fan_in_conns() -> usize {
     std::env::var("SHM_FAN_IN_CONNS")
@@ -32,10 +32,7 @@ fn fan_in_conns() -> usize {
 /// Small ring so 65 localities' worth of heap segments stay cheap; a
 /// pingpong/fan-in frame is far below the ring's max record either way.
 fn shm_kind(ring_bytes: usize) -> TransportKind {
-    TransportKind::Shm(ShmTuning {
-        tcp: TcpTuning::default(),
-        ring_bytes,
-    })
+    TransportKind::Shm(ShmTuning { ring_bytes })
 }
 
 struct Pair {

@@ -82,7 +82,7 @@ pub use rpx_lco::{Barrier, Latch};
 pub use rpx_metrics::{MetricsReader, PhaseRecorder};
 pub use rpx_net::{
     BootstrapError, BootstrapMode, DeliveryClass, DeliveryError, HostId, LinkModel,
-    ReliabilityConfig, ShmTuning, TcpTuning, Topology, Transport, TransportKind, TransportPort,
+    ReliabilityConfig, ShmTuning, Topology, Transport, TransportKind, TransportPort,
 };
 pub use rpx_serialize::Wire;
 pub use rpx_util::Complex64;

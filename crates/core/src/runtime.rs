@@ -25,7 +25,7 @@ use rpx_lco::Promise;
 use rpx_metrics::MetricsReader;
 use rpx_net::{
     BootstrapMode, DeliveryClass, LinkModel, ReliabilityConfig, ReliablePort, ReliableTransport,
-    ShmTuning, TcpBootstrap, TcpTransport, TcpTuning, Topology, Transport, TransportKind,
+    TcpBootstrap, Topology, Transport, TransportKind,
 };
 use rpx_parcel::{
     port::decode_continuation_args, ActionId, ActionRegistry, ParcelPort, ParcelPortConfig,
@@ -46,7 +46,8 @@ pub struct RuntimeConfig {
     /// Scheduler worker threads per locality.
     pub workers_per_locality: usize,
     /// Which transport backend connects the localities: the simulated
-    /// fabric with a [`LinkModel`] (default) or real loopback TCP.
+    /// fabric with a [`LinkModel`] (default), real loopback TCP, or TCP
+    /// with shared-memory rings towards same-host ranks.
     pub transport: TransportKind,
     /// End-to-end reliable delivery (sequence numbers, acks,
     /// retransmission with backoff, duplicate suppression — see
@@ -747,7 +748,7 @@ pub struct Runtime {
     /// with a topology).
     num_localities: u32,
     /// Declared after `localities` so ports drop first; the TCP backend
-    /// wakes and joins its event-loop pump pool when this Arc drops.
+    /// wakes and joins its event-loop pump thread when this Arc drops.
     transport: Arc<dyn Transport>,
     /// Typed handle kept alongside `transport` when reliability is on
     /// (drives the delivery-failure reaper and `delivery_failures`).
@@ -802,24 +803,15 @@ impl Runtime {
                         topo.rank, topo.num_localities
                     )));
                 }
-                // Resolved before bootstrapping so an unusable backend
+                // Checked before bootstrapping so an unusable backend
                 // fails fast instead of after the network handshake.
-                enum WireTuning {
-                    Tcp(TcpTuning),
-                    Shm(ShmTuning),
+                if matches!(config.transport, TransportKind::Sim(_)) {
+                    return Err(RuntimeError::Boot(
+                        "a multi-process topology requires a wire transport \
+                             (TransportKind::TcpLoopback or Shm)"
+                            .into(),
+                    ));
                 }
-                let tuning = match config.transport {
-                    TransportKind::TcpLoopback => WireTuning::Tcp(TcpTuning::default()),
-                    TransportKind::TcpTuned(t) => WireTuning::Tcp(t),
-                    TransportKind::Shm(t) => WireTuning::Shm(t),
-                    TransportKind::Sim(_) => {
-                        return Err(RuntimeError::Boot(
-                            "a multi-process topology requires a wire transport \
-                                 (TransportKind::TcpLoopback, TcpTuned or Shm)"
-                                .into(),
-                        ))
-                    }
-                };
                 let bootstrap = match &topo.bootstrap {
                     BootstrapMode::Rendezvous { addr, timeout } => {
                         TcpBootstrap::rendezvous(topo.rank, topo.num_localities, *addr, *timeout)
@@ -840,11 +832,9 @@ impl Runtime {
                     }
                 }
                 .map_err(|e| RuntimeError::Boot(e.to_string()))?;
-                let t = match tuning {
-                    WireTuning::Tcp(t) => TcpTransport::from_bootstrap(bootstrap, t),
-                    WireTuning::Shm(t) => TcpTransport::from_bootstrap_shm(bootstrap, t),
-                }
-                .map_err(|e| RuntimeError::Boot(format!("transport construction failed: {e}")))?;
+                let t = config.transport.build_over(bootstrap).map_err(|e| {
+                    RuntimeError::Boot(format!("transport construction failed: {e}"))
+                })?;
                 (topo.num_localities, vec![topo.rank], t)
             }
         };

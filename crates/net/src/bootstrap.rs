@@ -438,7 +438,7 @@ impl BootstrapError {
 /// listeners for the ranks *this process* hosts.
 ///
 /// Consumed by `TcpTransport::from_bootstrap`, which registers the local
-/// listeners with its pump pool and lazily connects outbound using the
+/// listeners with its pump thread and lazily connects outbound using the
 /// address book.
 #[derive(Debug)]
 pub struct TcpBootstrap {

@@ -1,109 +1,36 @@
 //! The simulated transport: per-locality ports, cost charging and
-//! delayed delivery — the first [`Transport`] implementation.
+//! delayed delivery — the modelled wire under the shared port front end
+//! (`port.rs`).
 //!
-//! Each locality owns a [`SimPort`]. Sending enqueues onto the sender's
-//! outbound queue; scheduler background work drives [`SimPort::pump_send`]
-//! (charge sender CPU cost, stamp a delivery deadline `now + latency`,
-//! move the message to the destination's in-flight heap) and
-//! [`SimPort::pump_recv`] (pop due messages, charge receiver CPU cost,
-//! invoke the receive handler). Both pumps are safe to call concurrently
-//! from many workers; costs are paid by whichever worker handles the
-//! message, exactly as HPX parcelport progress work lands on arbitrary
-//! scheduler threads.
+//! Each locality owns a port. Sending enqueues onto the sender's
+//! outbound queue; scheduler background work drives `pump_send` (charge
+//! sender CPU cost, stamp a delivery deadline `now + latency`, move the
+//! message to the destination's in-flight heap) and `pump_recv` (pop due
+//! messages, charge receiver CPU cost, invoke the receive handler). Both
+//! pumps are safe to call concurrently from many workers; costs are paid
+//! by whichever worker handles the message, exactly as HPX parcelport
+//! progress work lands on arbitrary scheduler threads.
 //!
 //! Messages travel as in-memory structs (no copy on the hot path), but
-//! byte counters charge **frame** lengths ([`wire_len`]) and fault
-//! injection routes through the shared frame codec, so statistics and
-//! corruption behaviour match the TCP backend byte for byte.
+//! byte counters charge **frame** lengths ([`crate::wire_len`]) and a
+//! corrupting fault routes through the shared frame codec, so statistics
+//! and corruption behaviour match the TCP backend byte for byte.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use rpx_util::busy_charge;
 
-use crate::fault::{FaultAction, FaultPlan, FaultStage};
-use crate::frame::{corrupt_frame, decode_frame, encode_frame, wire_len};
-use crate::message::{DeliveryClass, Message};
+use crate::frame::{corrupt_frame, decode_frame, encode_frame};
+use crate::message::Message;
 use crate::model::LinkModel;
-use crate::transport::{NotifyFn, ReceiveHandler, Transport, TransportPort};
-
-/// Per-port traffic statistics (relaxed atomics, safe for hot paths).
-///
-/// Byte counters measure bytes **on the wire** — frame lengths, header
-/// included — so the simulated and TCP backends report comparable
-/// `/network/*` values.
-#[derive(Debug, Default)]
-pub struct PortStats {
-    /// Messages handed to `send`.
-    pub enqueued: AtomicU64,
-    /// Messages pushed onto the wire (send cost paid).
-    pub sent_messages: AtomicU64,
-    /// Frame bytes pushed onto the wire.
-    pub sent_bytes: AtomicU64,
-    /// Messages delivered to the receive handler (recv cost paid).
-    pub received_messages: AtomicU64,
-    /// Frame bytes delivered.
-    pub received_bytes: AtomicU64,
-    /// Frames that arrived corrupted (checksum/framing failure) and were
-    /// dropped on the receive side.
-    pub decode_failures: AtomicU64,
-    /// Sequenced frames re-sent by the reliability sublayer after their
-    /// retransmission timeout expired unacked. Incremented by
-    /// [`crate::reliability::ReliablePort`]; raw backends never touch it.
-    pub retransmits: AtomicU64,
-    /// Ack frames sent by the reliability sublayer on behalf of this
-    /// port's receive side.
-    pub acks_sent: AtomicU64,
-    /// Received sequenced frames discarded as duplicates by the
-    /// reliability sublayer's receive window (retransmit or injected
-    /// duplicate already delivered).
-    pub duplicates_suppressed: AtomicU64,
-    /// Sequenced frames abandoned after the retransmission give-up
-    /// budget was exhausted (each surfaced as a
-    /// [`crate::reliability::DeliveryError`]).
-    pub delivery_failures: AtomicU64,
-    /// Readiness events dispatched for this port's sockets by the
-    /// event-loop transport's pump threads ([`crate::TcpTransport`]).
-    /// Always zero on the simulated backend.
-    pub event_wakeups: AtomicU64,
-    /// Vectored reads (`readv`) that moved at least one byte into this
-    /// port's receive buffer. `received_messages / readv_batches` is the
-    /// frame batching factor of the receive path.
-    pub readv_batches: AtomicU64,
-    /// Frames fully flushed to the kernel by vectored writes (`writev`)
-    /// on this port's outgoing connections.
-    pub writev_frames: AtomicU64,
-    /// Messages delivered to this port through a same-host shared-memory
-    /// ring instead of a socket ([`crate::TcpTransport`] with the shm
-    /// backend enabled). Always zero on pure-TCP and simulated runs.
-    pub shm_messages: AtomicU64,
-    /// Frame bytes delivered through shared-memory rings.
-    pub shm_bytes: AtomicU64,
-    /// Doorbell readiness events dispatched for this port (a producer
-    /// rang because the consumer looked idle, or a consumer rang a
-    /// blocked producer back). A low ratio of wakeups to shm messages
-    /// means the bounded-spin drain is batching well.
-    pub doorbell_wakeups: AtomicU64,
-    /// BestEffort-class messages intentionally discarded at this port —
-    /// on the send side by a fault plan's wire drop or the parcel layer
-    /// shedding load past its BestEffort backlog bound, and on the
-    /// receive side when a frame arrives reordered so far behind its
-    /// peers that the dedup window can no longer prove it unseen.
-    /// At-most-once accounting: summed across both endpoints,
-    /// `delivered + best_effort_dropped == sent` holds for BestEffort
-    /// traffic under drop/duplicate faults. The counter is conservative:
-    /// it never under-reports loss, but under extreme reordering it may
-    /// over-report (a wire-duplicate displaced past the dedup window is
-    /// discarded as stale even though its twin was delivered). Corrupted
-    /// frames are counted as the receiver's `decode_failures` instead.
-    pub best_effort_dropped: AtomicU64,
-}
+use crate::port::{PortFront, Wire};
+use crate::transport::{Transport, TransportPort};
 
 struct InFlight {
     deliver_at: Instant,
@@ -134,9 +61,7 @@ impl Ord for InFlight {
 const NO_DEADLINE: u64 = u64::MAX;
 
 struct PortShared {
-    locality: u32,
-    outbound_tx: Sender<Message>,
-    outbound_rx: Receiver<Message>,
+    front: PortFront,
     inflight: Mutex<BinaryHeap<Reverse<InFlight>>>,
     /// Earliest `deliver_at` in `inflight`, as nanoseconds since the
     /// fabric epoch ([`NO_DEADLINE`] when empty). Written only while the
@@ -144,63 +69,18 @@ struct PortShared {
     /// `pump_recv` can skip the lock entirely when nothing is due — the
     /// common case for background polls on an idle or high-latency port.
     next_due: AtomicU64,
-    receiver: RwLock<Option<ReceiveHandler>>,
-    notify: RwLock<Option<NotifyFn>>,
-    stats: PortStats,
     seq: AtomicU64,
-    /// Messages popped from a queue but not yet handed to the next stage
-    /// (mid-pump). Needed so quiescence checks do not declare the fabric
-    /// idle while a pump thread holds a message.
-    ///
-    /// Ordering invariant: the gauge is incremented (Acquire) before the
-    /// pump releases the queue it popped from and decremented (Release)
-    /// only after the message has been handed to the next stage, so a
-    /// quiescence check that observes empty queues and a zero gauge
-    /// cannot have missed an in-transit message. Acquire/Release suffices
-    /// because the gauge never synchronises data of its own — it only
-    /// orders against the queue operations around it.
-    processing: std::sync::atomic::AtomicUsize,
-    /// Optional failure injection applied to outbound messages.
-    faults: RwLock<Option<Arc<FaultPlan>>>,
-    /// Outbound messages parked by [`FaultAction::Reorder`], waiting for
-    /// later traffic to overtake them. Counted in `outbound_backlog` so
-    /// quiescence checks see them.
-    reorder: Mutex<FaultStage<Message>>,
-}
-
-/// Decrements a processing gauge on drop (panic-safe).
-struct ProcessingGuard<'a>(&'a std::sync::atomic::AtomicUsize);
-
-impl<'a> ProcessingGuard<'a> {
-    fn enter(gauge: &'a std::sync::atomic::AtomicUsize) -> Self {
-        gauge.fetch_add(1, Ordering::Acquire);
-        ProcessingGuard(gauge)
-    }
-}
-
-impl Drop for ProcessingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl PortShared {
-    fn notify(&self) {
-        if let Some(n) = self.notify.read().as_ref() {
-            n();
-        }
-    }
 }
 
 /// Shared fabric state: the cost model, the timestamp epoch and every
-/// port. Both [`SimTransport`] and each [`SimPort`] hold an `Arc` to it,
-/// so ports stay valid however the transport handle is passed around.
+/// port. [`SimTransport`] and each port handle hold an `Arc` to it, so
+/// ports stay valid however the transport handle is passed around.
 struct FabricState {
     model: LinkModel,
     /// Reference instant for `next_due` timestamps; all deadlines are
     /// encoded as nanoseconds since this epoch.
     epoch: Instant,
-    ports: Vec<Arc<PortShared>>,
+    ports: Vec<PortShared>,
 }
 
 impl FabricState {
@@ -221,22 +101,11 @@ impl SimTransport {
     pub fn new(localities: u32, model: LinkModel) -> Arc<Self> {
         assert!(localities > 0, "fabric needs at least one locality");
         let ports = (0..localities)
-            .map(|locality| {
-                let (outbound_tx, outbound_rx) = unbounded();
-                Arc::new(PortShared {
-                    locality,
-                    outbound_tx,
-                    outbound_rx,
-                    inflight: Mutex::new(BinaryHeap::new()),
-                    next_due: AtomicU64::new(NO_DEADLINE),
-                    receiver: RwLock::new(None),
-                    notify: RwLock::new(None),
-                    stats: PortStats::default(),
-                    seq: AtomicU64::new(0),
-                    processing: std::sync::atomic::AtomicUsize::new(0),
-                    faults: RwLock::new(None),
-                    reorder: Mutex::new(FaultStage::default()),
-                })
+            .map(|locality| PortShared {
+                front: PortFront::new(locality, localities),
+                inflight: Mutex::new(BinaryHeap::new()),
+                next_due: AtomicU64::new(NO_DEADLINE),
+                seq: AtomicU64::new(0),
             })
             .collect();
         Arc::new(SimTransport {
@@ -252,115 +121,64 @@ impl SimTransport {
     pub fn model(&self) -> LinkModel {
         self.state.model
     }
-
-    /// Number of localities.
-    pub fn localities(&self) -> u32 {
-        self.state.ports.len() as u32
-    }
-
-    /// The port of `locality`.
-    ///
-    /// # Panics
-    /// Panics if `locality` is out of range.
-    pub fn port(&self, locality: u32) -> SimPort {
-        assert!(
-            (locality as usize) < self.state.ports.len(),
-            "locality {locality} out of range"
-        );
-        SimPort {
-            state: Arc::clone(&self.state),
-            shared: Arc::clone(&self.state.ports[locality as usize]),
-        }
-    }
 }
 
 impl Transport for SimTransport {
     fn localities(&self) -> u32 {
-        SimTransport::localities(self)
+        self.state.ports.len() as u32
     }
 
     fn port(&self, locality: u32) -> Arc<dyn TransportPort> {
-        Arc::new(SimTransport::port(self, locality))
+        assert!(
+            (locality as usize) < self.state.ports.len(),
+            "locality {locality} out of range"
+        );
+        Arc::new(SimPort {
+            state: Arc::clone(&self.state),
+            locality: locality as usize,
+        })
     }
 }
 
 /// A locality's endpoint on the simulated fabric.
-#[derive(Clone)]
-pub struct SimPort {
+struct SimPort {
     state: Arc<FabricState>,
-    shared: Arc<PortShared>,
+    locality: usize,
 }
 
-/// How many messages one pump call processes before yielding, bounding
-/// the latency a single background poll can add to its worker.
-const PUMP_BATCH: usize = 8;
-
 impl SimPort {
-    /// This port's locality id.
-    pub fn locality(&self) -> u32 {
-        self.shared.locality
-    }
-
-    /// Traffic statistics.
-    pub fn stats(&self) -> &PortStats {
-        &self.shared.stats
-    }
-
-    /// Install the handler invoked (from pump threads) for every delivered
-    /// message.
-    pub fn set_receiver(&self, handler: ReceiveHandler) {
-        *self.shared.receiver.write() = Some(handler);
-    }
-
-    /// Install a wake-up hook called whenever traffic lands on this port's
-    /// queues (the runtime points this at `Scheduler::notify`).
-    pub fn set_notify(&self, notify: NotifyFn) {
-        *self.shared.notify.write() = Some(notify);
-    }
-
-    /// Install (or clear) a failure-injection plan for this port's
-    /// outbound messages. Testing hook: drops/corruption happen after the
-    /// send cost has been paid, like a wire fault.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.shared.faults.write() = plan;
-    }
-
-    /// Enqueue a message for transmission.
-    ///
-    /// Cheap: the real send cost is paid later by `pump_send`.
-    ///
-    /// # Panics
-    /// Panics if `message.dst` is out of range or `message.src` does not
-    /// match this port.
-    pub fn send(&self, message: Message) {
-        assert_eq!(message.src, self.shared.locality, "src must be this port");
-        assert!(
-            (message.dst as usize) < self.state.ports.len(),
-            "destination {} out of range",
-            message.dst
-        );
-        self.shared.stats.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .outbound_tx
-            .send(message)
-            .expect("outbound channel lives as long as the fabric");
-        self.shared.notify();
+    fn shared(&self) -> &PortShared {
+        &self.state.ports[self.locality]
     }
 
     /// Put `message` in flight towards its destination after the modelled
-    /// delivery delay plus `extra_delay`. Send-side statistics are the
-    /// caller's business (reorder-released messages were already
-    /// counted).
-    fn forward(&self, message: Message, extra_delay: Duration) {
-        let dst = Arc::clone(&self.state.ports[message.dst as usize]);
+    /// delivery delay. A corrupted message round-trips the frame codec
+    /// with a flipped byte: it fails the destination's checksum exactly
+    /// as it would on the TCP backend, so it is counted there as a
+    /// decode failure and never delivered.
+    fn put(&self, mut message: Message, corrupt: bool) {
+        let dst = &self.state.ports[message.dst as usize];
+        if corrupt {
+            let mut frame = encode_frame(&message);
+            corrupt_frame(&mut frame);
+            match decode_frame(&frame) {
+                Ok((survivor, _)) => message = survivor,
+                Err(_) => {
+                    dst.front
+                        .stats
+                        .decode_failures
+                        .fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+            }
+        }
         // Store-and-forward: a message is deliverable only after its
         // last byte has crossed the wire, so delivery lags by the
         // transfer time (and any rendezvous handshake) in addition to
         // propagation latency. This is the physical cost of lumping
         // many parcels into one large message — the first parcel in
         // the batch cannot execute until the whole batch has arrived.
-        let deliver_at =
-            Instant::now() + self.state.model.delivery_delay(message.len()) + extra_delay;
+        let deliver_at = Instant::now() + self.state.model.delivery_delay(message.len());
         let seq = dst.seq.fetch_add(1, Ordering::Relaxed);
         {
             let mut heap = dst.inflight.lock();
@@ -376,225 +194,81 @@ impl SimPort {
             dst.next_due
                 .store(self.state.epoch_ns(head), Ordering::Release);
         }
-        dst.notify();
+        dst.front.notify();
+    }
+}
+
+impl Wire for SimPort {
+    fn front(&self) -> &PortFront {
+        &self.shared().front
     }
 
-    /// Pump outbound messages: pay the sender CPU cost and move messages
-    /// into the destination's in-flight heap. Returns `true` if any
-    /// message was processed.
-    pub fn pump_send(&self) -> bool {
-        let mut did_work = false;
-        // Release reorder-parked messages that are due (enough later
-        // traffic overtook them, or their hold deadline expired so a
-        // quiet link cannot strand them). Their costs and statistics
-        // were charged when they first passed through the loop below.
-        let mut released = Vec::new();
-        self.shared.reorder.lock().drain_ready(&mut released);
-        for message in released {
-            let _guard = ProcessingGuard::enter(&self.shared.processing);
-            did_work = true;
-            self.forward(message, Duration::ZERO);
-        }
-        for _ in 0..PUMP_BATCH {
-            let Ok(message) = self.shared.outbound_rx.try_recv() else {
-                break;
-            };
-            let _guard = ProcessingGuard::enter(&self.shared.processing);
-            did_work = true;
-            // The modelled per-message + per-byte cost, paid in real CPU
-            // time on this (background-work) thread.
-            busy_charge(self.state.model.send_cost(message.len()));
-            self.shared
-                .stats
-                .sent_messages
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .stats
-                .sent_bytes
-                .fetch_add(wire_len(&message) as u64, Ordering::Relaxed);
-            // Failure injection (tests): the cost is already paid, the
-            // wire then loses, mangles, duplicates, delays or reorders
-            // the message.
-            let plan = self.shared.faults.read().clone();
-            let (action, delay, window) = match &plan {
-                Some(p) => (p.decide(), p.delay, p.reorder_window.unwrap_or(1)),
-                None => (FaultAction::Deliver, Duration::ZERO, 1),
-            };
-            if action != FaultAction::Reorder {
-                // Everything that reaches the wire overtakes whatever is
-                // parked for reordering (dropped messages count too —
-                // they consumed a wire slot).
-                self.shared.reorder.lock().on_pass();
-            }
-            match action {
-                FaultAction::Drop => {
-                    if message.class == DeliveryClass::BestEffort {
-                        self.shared
-                            .stats
-                            .best_effort_dropped
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                FaultAction::Corrupt => {
-                    // Route the corruption through the shared frame codec:
-                    // the flipped byte fails the destination's checksum,
-                    // exactly as it would on the TCP backend, so the frame
-                    // is counted as a receive-side decode failure and
-                    // dropped.
-                    let mut frame = encode_frame(&message);
-                    corrupt_frame(&mut frame);
-                    match decode_frame(&frame) {
-                        Ok((survivor, _)) => self.forward(survivor, Duration::ZERO),
-                        Err(_) => {
-                            self.state.ports[message.dst as usize]
-                                .stats
-                                .decode_failures
-                                .fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    }
-                }
-                FaultAction::Duplicate => {
-                    self.forward(message.clone(), Duration::ZERO);
-                    self.forward(message, Duration::ZERO);
-                }
-                FaultAction::Delay => self.forward(message, delay),
-                FaultAction::Reorder => self.shared.reorder.lock().hold(message, window),
-                FaultAction::Deliver => self.forward(message, Duration::ZERO),
-            }
-        }
-        did_work
+    /// Pay the modelled per-message + per-byte sender cost in real CPU
+    /// time on this (background-work) thread and move messages into the
+    /// destination's in-flight heap.
+    fn drive_send(&self) -> bool {
+        self.front().pump_outbound(
+            |message| {
+                busy_charge(self.state.model.send_cost(message.len()));
+            },
+            |message, corrupt| self.put(message, corrupt),
+        )
     }
 
-    /// Pump inbound messages that have cleared their latency: pay the
-    /// receiver CPU cost and hand each to the receive handler. Returns
-    /// `true` if any message was delivered.
-    pub fn pump_recv(&self) -> bool {
-        let handler = self.shared.receiver.read().clone();
-        let Some(handler) = handler else {
-            return false;
-        };
-        let mut did_work = false;
-        for _ in 0..PUMP_BATCH {
+    /// Deliver messages that have cleared their latency, paying the
+    /// receiver CPU cost for each.
+    fn drive_recv(&self) -> bool {
+        let shared = self.shared();
+        shared.front.pump_inbound(|| {
             // Lock-free fast path: if the earliest deadline (maintained
             // under the heap lock) has not arrived, skip the lock. The
             // hint is exact, not approximate — every heap mutation
             // refreshes it before releasing the lock — so a stale read
             // can only race with a concurrent pump that will (or already
             // did) deliver the message itself.
-            let hint = self.shared.next_due.load(Ordering::Acquire);
+            let hint = shared.next_due.load(Ordering::Acquire);
             if hint == NO_DEADLINE || hint > self.state.epoch_ns(Instant::now()) {
-                break;
+                return None;
             }
-            let (message, _guard) = {
-                let mut heap = self.shared.inflight.lock();
-                match heap.peek() {
-                    Some(Reverse(head)) if head.deliver_at <= Instant::now() => {
-                        // Take the processing guard while still holding the
-                        // heap lock so the message is never unaccounted for.
-                        let guard = ProcessingGuard::enter(&self.shared.processing);
-                        let message = heap.pop().expect("peeked").0.message;
-                        let next = heap.peek().map_or(NO_DEADLINE, |Reverse(head)| {
-                            self.state.epoch_ns(head.deliver_at)
-                        });
-                        self.shared.next_due.store(next, Ordering::Release);
-                        (message, guard)
-                    }
-                    _ => break,
-                }
-            };
-            did_work = true;
+            let mut heap = shared.inflight.lock();
+            if heap.peek()?.0.deliver_at > Instant::now() {
+                return None;
+            }
+            // Take the processing guard while still holding the heap
+            // lock so the message is never unaccounted for.
+            let guard = shared.front.enter();
+            let message = heap.pop().expect("peeked").0.message;
+            let next = heap.peek().map_or(NO_DEADLINE, |Reverse(head)| {
+                self.state.epoch_ns(head.deliver_at)
+            });
+            shared.next_due.store(next, Ordering::Release);
+            drop(heap);
             busy_charge(self.state.model.recv_cost());
-            self.shared
-                .stats
-                .received_messages
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .stats
-                .received_bytes
-                .fetch_add(wire_len(&message) as u64, Ordering::Relaxed);
-            handler(message);
-        }
-        did_work
+            Some((message, guard))
+        })
     }
 
-    /// Convenience: one full pump pass (send then receive).
-    pub fn pump(&self) -> bool {
-        let s = self.pump_send();
-        let r = self.pump_recv();
-        s || r
-    }
-
-    /// Messages queued but not yet put on the wire (including any parked
-    /// by reorder fault injection).
-    pub fn outbound_backlog(&self) -> usize {
-        self.shared.outbound_rx.len() + self.shared.reorder.lock().len()
-    }
-
-    /// Messages in flight towards this port (latency not yet elapsed or
-    /// not yet pumped).
-    pub fn inflight_backlog(&self) -> usize {
-        self.shared.inflight.lock().len()
-    }
-
-    /// Messages currently mid-pump on this port (popped from a queue but
-    /// not yet delivered to the next stage).
-    pub fn processing(&self) -> usize {
-        // Acquire pairs with the guard's Release decrement: a zero read
-        // here happens-after the completed handoffs it reflects.
-        self.shared.processing.load(Ordering::Acquire)
-    }
-}
-
-impl TransportPort for SimPort {
-    fn locality(&self) -> u32 {
-        SimPort::locality(self)
-    }
-    fn stats(&self) -> &PortStats {
-        SimPort::stats(self)
-    }
-    fn send(&self, message: Message) {
-        SimPort::send(self, message)
-    }
-    fn pump_send(&self) -> bool {
-        SimPort::pump_send(self)
-    }
-    fn pump_recv(&self) -> bool {
-        SimPort::pump_recv(self)
-    }
-    fn set_receiver(&self, handler: ReceiveHandler) {
-        SimPort::set_receiver(self, handler)
-    }
-    fn set_notify(&self, notify: NotifyFn) {
-        SimPort::set_notify(self, notify)
-    }
-    fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        SimPort::set_fault_plan(self, plan)
-    }
-    fn outbound_backlog(&self) -> usize {
-        SimPort::outbound_backlog(self)
-    }
-    fn inflight_backlog(&self) -> usize {
-        SimPort::inflight_backlog(self)
-    }
-    fn processing(&self) -> usize {
-        SimPort::processing(self)
+    fn inflight(&self) -> usize {
+        self.shared().inflight.lock().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::frame::frame_len;
-    use crate::message::MessageKind;
+    use crate::message::{DeliveryClass, MessageKind};
     use bytes::Bytes;
+    use std::time::Duration;
+
+    type Port = Arc<dyn TransportPort>;
 
     fn msg(src: u32, dst: u32, payload: &'static [u8]) -> Message {
         Message::new(src, dst, MessageKind::Parcel, Bytes::from_static(payload))
     }
 
-    fn pump_until<F: Fn() -> bool>(ports: &[SimPort], done: F, timeout: Duration) -> bool {
+    fn pump_until<F: Fn() -> bool>(ports: &[Port], done: F, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while !done() {
             for p in ports {
@@ -872,9 +546,12 @@ mod tests {
         let t0 = Instant::now();
         a.send(msg(0, 1, b"late"));
         a.pump_send();
+        // Parked at the sender, not in flight: only time releases it.
+        assert_eq!(a.outbound_backlog(), 1);
+        assert_eq!(b.inflight_backlog(), 0);
         assert!(!b.pump_recv());
         assert!(pump_until(
-            std::slice::from_ref(&b),
+            &[a.clone(), b.clone()],
             || hits.load(Ordering::SeqCst) == 1,
             Duration::from_secs(2)
         ));

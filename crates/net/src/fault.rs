@@ -4,16 +4,17 @@
 //! and reordered messages; the paper's stack sits on MPI/TCP, which hides
 //! the first two behind timeouts and checksums and never surfaces the
 //! last two at all. [`FaultPlan`] lets tests and the chaos suite inject
-//! all four failure modes deterministically on the send path of either
+//! all four failure modes deterministically on the send path of any
 //! backend and verify that the runtime degrades gracefully — and, with
 //! the [`crate::reliability`] sublayer enabled, that delivery stays
 //! exactly-once regardless.
 //!
-//! Faults are decided per outbound message by [`FaultPlan::decide`];
-//! messages chosen for reordering are parked in a [`FaultStage`] owned by
-//! the backend's pump loop and released once enough later traffic has
-//! overtaken them (or a hold deadline expires, so a quiet link cannot
-//! strand them forever).
+//! Faults are decided per outbound message by [`FaultPlan::decide`] and
+//! carried out in one place, the shared port front end (`port.rs`);
+//! messages chosen for delay or reordering are parked there in a
+//! [`FaultStage`] and released once their delay has passed or enough
+//! later traffic has overtaken them (or a hold deadline expires, so a
+//! quiet link cannot strand them forever).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,10 +188,10 @@ impl FaultPlan {
     }
 }
 
-/// Holding pen for messages picked for [`FaultAction::Reorder`].
+/// Holding pen for messages picked for [`FaultAction::Delay`] or
+/// [`FaultAction::Reorder`].
 ///
-/// Each backend's pump loop owns one stage per direction it injects
-/// faults on. A held item is released once `window` later messages have
+/// Each port's front end owns one stage. A held item is released once `window` later messages have
 /// passed it ([`FaultStage::on_pass`]) **or** its hold deadline expires —
 /// the deadline guarantees a link that goes quiet cannot strand a held
 /// message (quiescence would otherwise hang). Held items count toward
@@ -233,8 +234,8 @@ impl<T> FaultStage<T> {
     }
 
     /// Park `item` with an explicit hold deadline (used for
-    /// [`crate::FaultAction::Delay`] on backends without a delivery
-    /// clock: `passes = u64::MAX` makes the deadline the only release).
+    /// [`FaultAction::Delay`]: `passes = u64::MAX` makes the deadline the
+    /// only release).
     pub fn hold_for(&mut self, item: T, passes: u64, hold: Duration) {
         self.held.push_back(Held {
             item,

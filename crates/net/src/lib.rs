@@ -1,6 +1,6 @@
 //! # rpx-net
 //!
-//! The **network layer**: a pluggable [`Transport`] abstraction with two
+//! The **network layer**: a pluggable [`Transport`] abstraction with
 //! backends standing in for the paper's cluster interconnect (ROSTAM's
 //! Marvin nodes with Intel MPI).
 //!
@@ -32,9 +32,12 @@
 //! * [`TcpTransport`] — real loopback-TCP sockets with length-prefixed
 //!   [`frame`]s: genuine per-message syscall overhead instead of a
 //!   modelled one, used to validate that conclusions drawn on the sim
-//!   carry over to a real kernel network path.
+//!   carry over to a real kernel network path; with [`ShmTuning`],
+//!   same-host destinations are reached through shared-memory rings.
 //!
-//! Both backends are pumped by [`TransportPort::pump_send`] /
+//! The backends share one port front end (queueing, statistics,
+//! quiescence gauges, fault injection) and differ only in the wire
+//! under it. All are pumped by [`TransportPort::pump_send`] /
 //! [`TransportPort::pump_recv`], which the runtime registers as scheduler
 //! background work — so Eq. 4 network overhead measures them identically.
 
@@ -46,6 +49,7 @@ pub mod fault;
 pub mod frame;
 pub mod message;
 pub mod model;
+mod port;
 pub mod reliability;
 pub mod shm;
 pub mod tcp;
@@ -55,15 +59,16 @@ pub use bootstrap::{
     BootstrapError, BootstrapMode, HostId, TcpBootstrap, Topology, BOOTSTRAP_MAGIC,
     BOOTSTRAP_VERSION,
 };
-pub use fabric::{PortStats, SimPort, SimTransport};
-pub use fault::{FaultAction, FaultPlan, FaultStage};
+pub use fabric::SimTransport;
+pub use fault::FaultPlan;
 pub use frame::{
     corrupt_frame, decode_frame, decode_frame_in_place, encode_frame, frame_len, wire_len,
     FrameError, FrameView, CLASS_MASK, FRAME_HEADER_LEN, MAX_FRAME_BODY, SEQ_FLAG, SEQ_OVERHEAD,
 };
 pub use message::{DeliveryClass, Message, MessageKind};
 pub use model::LinkModel;
+pub use port::PortStats;
 pub use reliability::{DeliveryError, ReliabilityConfig, ReliablePort, ReliableTransport};
 pub use shm::{ShmNamespace, ShmSegment, ShmTuning};
-pub use tcp::{TcpPort, TcpTransport, TcpTuning};
+pub use tcp::TcpTransport;
 pub use transport::{NotifyFn, ReceiveHandler, Transport, TransportKind, TransportPort};

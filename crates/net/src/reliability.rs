@@ -56,9 +56,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use crate::fabric::PortStats;
 use crate::fault::FaultPlan;
 use crate::message::{DeliveryClass, Message, MessageKind};
+use crate::port::PortStats;
 use crate::transport::{NotifyFn, ReceiveHandler, Transport, TransportPort};
 
 /// Tuning knobs for the reliability sublayer.

@@ -50,8 +50,6 @@ use std::time::{Duration, Instant};
 
 use rpx_util::sync::{SpscConsumer, SpscProducer, RING_HDR_BYTES};
 
-use crate::tcp::TcpTuning;
-
 /// Magic stamped into every segment header (`"rpxshm\0\1"`).
 pub const SHM_MAGIC: u64 = u64::from_le_bytes(*b"rpxshm\x00\x01");
 /// Version of the segment layout.
@@ -66,12 +64,9 @@ const STATE_READY: u32 = 2;
 /// `READY` before giving up (and falling back to TCP).
 const ATTACH_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Tuning for the shared-memory transport: the TCP knobs (the fallback
-/// path and the pump pool are shared) plus the per-direction ring size.
+/// Tuning for the shared-memory transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShmTuning {
-    /// Tuning for the pump pool and the TCP fallback links.
-    pub tcp: TcpTuning,
     /// Data bytes per ring direction. Frames whose wire size exceeds
     /// half of this ride the TCP fallback instead (a ring must fit a
     /// record with wrap padding to spare).
@@ -81,7 +76,6 @@ pub struct ShmTuning {
 impl Default for ShmTuning {
     fn default() -> Self {
         ShmTuning {
-            tcp: TcpTuning::default(),
             ring_bytes: 4 * 1024 * 1024,
         }
     }

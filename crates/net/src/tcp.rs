@@ -11,25 +11,23 @@
 //!
 //! ## Threading model
 //!
-//! * **`send`** enqueues onto an in-process outbound queue — never a
-//!   syscall on the caller.
+//! * **`send`** enqueues onto the port front end's outbound queue
+//!   (`port.rs`) — never a syscall on the caller.
 //! * **`pump_send`** (scheduler background work) drains the queue,
 //!   encodes frames, and drives *non-blocking* vectored writes
 //!   (`writev`) on one lazily connected stream per destination.
 //!   Partially written frames stay buffered at a byte offset; when a
 //!   socket pushes back (`WouldBlock`) the connection arms `EPOLLOUT`
-//!   on its pump shard, and the pump thread finishes the flush as soon
-//!   as the kernel drains — queued bytes no longer starve waiting for
+//!   on the poller, and the pump thread finishes the flush as soon
+//!   as the kernel drains — queued bytes do not starve waiting for
 //!   the next scheduler pump. All socket work initiated by `pump_send`
 //!   is charged to the `/threads/background-work` account, exactly like
 //!   the simulated backend, keeping the paper's Eq. 4 network overhead
 //!   comparable across backends.
-//! * A small fixed pool of **pump threads** (default 1, see
-//!   [`TcpTuning::pump_threads`]) multiplexes *every* socket — listeners,
-//!   inbound and outbound streams — through one readiness
-//!   [`Poller`] per thread (epoll on Linux). Connections are sharded
-//!   over the pool by a `(src, dst)` hash; the total thread count is
-//!   `O(pump_threads)`, not `O(connections)`.
+//! * One **pump thread** (`rpx-tcp-pump0`) multiplexes *every* socket —
+//!   listeners, inbound and outbound streams — and the shared-memory
+//!   doorbells through one readiness [`Poller`] (epoll on Linux): the
+//!   thread count is independent of the number of connections.
 //! * Inbound streams are read with **vectored reads** (`readv`)
 //!   straight into the spare capacity of a recycled per-connection
 //!   [`BytesMut`] receive buffer. Complete frames are split off as a
@@ -44,7 +42,7 @@
 //!   invokes the receive handler on the pumping thread — receive-side
 //!   handler work lands on scheduler threads, as in HPX.
 //!
-//! Teardown is "wake the pollers, drain, join the pump pool": no
+//! Teardown is "wake the poller, drain, join the pump thread": no
 //! per-connection threads to chase, so shutdown latency is independent
 //! of the number of open connections.
 //!
@@ -69,21 +67,16 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rpx_util::poll::{read_vectored_spare, BellRinger, Doorbell, Fd, Interest, Poller};
 use rpx_util::sync::{RingPush, SpscConsumer, SpscProducer};
 
 use crate::bootstrap::TcpBootstrap;
-use crate::fabric::PortStats;
-use crate::fault::{FaultAction, FaultPlan, FaultStage};
-use crate::frame::{check_body_len, corrupt_frame, decode_frame_in_place, encode_frame, wire_len};
-use crate::message::{DeliveryClass, Message};
+use crate::frame::{check_body_len, corrupt_frame, decode_frame_in_place, encode_frame};
+use crate::message::Message;
+use crate::port::{PortFront, Wire};
 use crate::shm::{ShmNamespace, ShmSegment, ShmTuning};
-use crate::transport::{NotifyFn, ReceiveHandler, Transport, TransportPort};
-
-/// Messages one pump call processes before yielding (matches the
-/// simulated backend's batch bound).
-const PUMP_BATCH: usize = 8;
+use crate::transport::{Transport, TransportPort};
 
 /// Frames batched into one `writev` call.
 const WRITEV_BATCH: usize = 16;
@@ -94,18 +87,18 @@ const READ_MIN: usize = 16 * 1024;
 /// Initial per-connection receive buffer capacity.
 const RECV_BUF_INIT: usize = 64 * 1024;
 
-/// Per-pump-thread overflow slice appended to every `readv`, so a burst
+/// The pump thread's overflow slice appended to every `readv`, so a burst
 /// larger than the buffer's spare capacity still lands in one syscall.
 const SCRATCH_LEN: usize = 64 * 1024;
 
-/// Fallback poll tick: pump threads re-check the shutdown flag at least
-/// this often even if a wake is somehow missed.
+/// Fallback poll tick: the pump thread re-checks the shutdown flag at
+/// least this often even if a wake is somehow missed.
 const POLL_TICK: Duration = Duration::from_millis(500);
 
 // ---- poller token scheme ---------------------------------------------
 //
 // The top nibble classifies the registration; the low bits identify it.
-// Localities fit in 24 bits by the `with_tuning` assertion.
+// Localities fit in 24 bits by the `from_bootstrap` assertion.
 
 const TOKEN_CLASS_SHIFT: u32 = 60;
 const CLASS_LISTENER: u64 = 1;
@@ -114,7 +107,7 @@ const CLASS_IN: u64 = 3;
 const CLASS_BELL: u64 = 4;
 
 /// Records popped per ring per drain pass (bounds handler latency the
-/// same way `PUMP_BATCH` bounds queue drains).
+/// same way the front end's pump batch bounds queue drains).
 const SHM_POP_BATCH: usize = 64;
 
 /// Consecutive empty zero-timeout polls a pump thread tolerates in shm
@@ -150,23 +143,6 @@ fn raw_fd<T: AsRawFd>(s: &T) -> Fd {
     s.as_raw_fd() as Fd
 }
 
-/// Tuning knobs for the event-driven TCP backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcpTuning {
-    /// Number of pump (event-loop) threads sharing the connections.
-    /// Each owns one poller; connections are sharded over the pool by a
-    /// `(src, dst)` hash. `0` is treated as `1`. The default (1) is
-    /// right for loopback meshes up to a few thousand connections;
-    /// raise it only when one core cannot drain the aggregate traffic.
-    pub pump_threads: usize,
-}
-
-impl Default for TcpTuning {
-    fn default() -> TcpTuning {
-        TcpTuning { pump_threads: 1 }
-    }
-}
-
 /// Transport-wide state shared by every port and thread.
 ///
 /// In multi-process mode the mesh describes the *whole cluster* — the
@@ -178,30 +154,17 @@ struct Mesh {
     /// Frames somewhere between a sender's write buffer and the
     /// destination's inbound queue, indexed by destination locality.
     in_wire: Vec<AtomicU64>,
-    /// Set once at teardown; pump threads drain and exit.
+    /// Set once at teardown; the pump thread drains and exits.
     shutdown: AtomicBool,
-    /// One poller per pump thread.
-    shards: Vec<Arc<Poller>>,
+    /// The pump thread's poller; every socket and doorbell registers here.
+    poller: Poller,
     /// File-backed shm segments this process attached, kept until their
-    /// unlink-when-both-attached handshake completes (pump threads sweep
-    /// the list) and force-unlinked at teardown.
+    /// unlink-when-both-attached handshake completes (the pump thread
+    /// sweeps the list) and force-unlinked at teardown.
     shm_segments: Mutex<Vec<Arc<ShmSegment>>>,
 }
 
 impl Mesh {
-    /// The poll shard responsible for the `src → dst` outgoing stream.
-    fn out_shard(&self, src: u32, dst: u32) -> &Poller {
-        let h = (src as usize).wrapping_mul(31).wrapping_add(dst as usize);
-        &self.shards[h % self.shards.len()]
-    }
-
-    /// Saturating decrement of a destination's in-wire gauge. Frames
-    /// injected from outside the mesh (raw benchmark clients) were
-    /// never accounted, and must not wrap the gauge.
-    fn unwire(&self, dst: usize) {
-        self.unwire_n(dst, 1);
-    }
-
     /// Drop `n` frames' worth of in-wire accounting at once (one atomic
     /// update per decoded batch). Saturates at zero: raw test/bench
     /// clients inject frames the send side never accounted for.
@@ -222,12 +185,12 @@ struct OutConn {
     offset: usize,
     /// A write error occurred; frames to this destination are discarded.
     broken: bool,
-    /// Whether `EPOLLOUT` is currently armed on the poll shard (only
+    /// Whether `EPOLLOUT` is currently armed on the poller (only
     /// while bytes are pending, to avoid level-triggered busy-wakes).
     armed: bool,
 }
 
-/// One accepted inbound connection, owned by its pump thread.
+/// One accepted inbound connection, owned by the pump thread.
 struct InConn {
     stream: TcpStream,
     /// Recycled receive buffer; complete frames are split off zero-copy.
@@ -236,29 +199,18 @@ struct InConn {
     port: Arc<TcpShared>,
 }
 
+/// A locality's endpoint on the loopback-TCP transport.
 struct TcpShared {
-    locality: u32,
+    front: PortFront,
     mesh: Arc<Mesh>,
-    outbound_tx: Sender<Message>,
-    outbound_rx: Receiver<Message>,
     inbound_tx: Sender<Message>,
     inbound_rx: Receiver<Message>,
     /// Per-destination outgoing connections; also serialises `pump_send`
     /// (a pump that loses the `try_lock` race simply yields — another
-    /// thread is already writing). Pump threads take the lock (blocking,
-    /// but only for the duration of one flush) to finish writes on
-    /// `EPOLLOUT`.
+    /// thread is already writing). The pump thread takes the lock
+    /// (blocking, but only for the duration of one flush) to finish
+    /// writes on `EPOLLOUT`.
     conns: Mutex<Vec<Option<OutConn>>>,
-    receiver: RwLock<Option<ReceiveHandler>>,
-    notify: RwLock<Option<NotifyFn>>,
-    faults: RwLock<Option<Arc<FaultPlan>>>,
-    /// Encoded frames parked by delay/reorder fault injection, keyed by
-    /// destination. Counted in `outbound_backlog` so quiescence checks
-    /// see them.
-    reorder: Mutex<FaultStage<(usize, Vec<u8>)>>,
-    stats: PortStats,
-    /// Messages mid-pump (same contract as the simulated backend).
-    processing: AtomicUsize,
     /// Frames staged on this port's write buffers but not yet written to
     /// a socket. The receiver-side `in_wire` gauge lives in the
     /// *destination's* process, so a sender needs its own count of
@@ -269,17 +221,16 @@ struct TcpShared {
     /// Shared-memory senders towards co-located destinations, keyed by
     /// destination rank. Empty when the shm backend is disabled or no
     /// destination shares this host. Locked after `conns` (never the
-    /// other way) — pump threads flushing on a doorbell take it alone.
+    /// other way) — the pump thread flushing on a doorbell takes it alone.
     shm_tx: Mutex<HashMap<usize, ShmSender>>,
     /// For each shm ring pointing *at* this rank: the segment and the
-    /// ring index, whose shared in-flight gauge feeds
-    /// [`TcpPort::inflight_backlog`] (visible across processes because
-    /// it lives in the mapped header).
+    /// ring index, whose shared in-flight gauge feeds `inflight_backlog`
+    /// (visible across processes because it lives in the mapped header).
     shm_rx_inflight: Vec<(Arc<ShmSegment>, usize)>,
     /// The consumer halves of every ring pointing at this rank. Any
     /// `pump_recv` caller may drain them (`try_lock` — if contended,
-    /// another thread is already draining); the rank's doorbell wakes a
-    /// pump thread, which takes the lock *blocking* so a rung bell is
+    /// another thread is already draining); the rank's doorbell wakes
+    /// the pump thread, which takes the lock *blocking* so a rung bell is
     /// never lost between a racing drainer's last empty pop and its
     /// unlock. This direct path is what makes shm latency beat sockets:
     /// the receiving scheduler thread pops the ring itself instead of
@@ -336,35 +287,11 @@ struct ShmRecvRing {
     dead: bool,
 }
 
-/// One hosted rank's doorbell, owned by the pump thread that registered
-/// its fds (the rings themselves live in [`TcpShared::shm_rx`]).
+/// One hosted rank's doorbell, owned by the pump thread (the rings
+/// themselves live in [`TcpShared::shm_rx`]).
 struct ShmRecvState {
     port: Arc<TcpShared>,
     doorbell: Arc<Doorbell>,
-}
-
-impl TcpShared {
-    fn notify(&self) {
-        if let Some(n) = self.notify.read().as_ref() {
-            n();
-        }
-    }
-}
-
-/// Decrements the processing gauge on drop (panic-safe).
-struct ProcessingGuard<'a>(&'a AtomicUsize);
-
-impl<'a> ProcessingGuard<'a> {
-    fn enter(gauge: &'a AtomicUsize) -> Self {
-        gauge.fetch_add(1, Ordering::Acquire);
-        ProcessingGuard(gauge)
-    }
-}
-
-impl Drop for ProcessingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
-    }
 }
 
 /// The loopback-TCP network connecting all localities of a cluster.
@@ -378,72 +305,19 @@ pub struct TcpTransport {
     /// Endpoint per locality id; `None` for ranks hosted elsewhere.
     ports: Vec<Option<Arc<TcpShared>>>,
     mesh: Arc<Mesh>,
-    tuning: TcpTuning,
-    pumps: Mutex<Vec<JoinHandle<()>>>,
+    pump: Option<JoinHandle<()>>,
 }
 
 impl TcpTransport {
-    /// Bind one loopback listener per locality and start the default
-    /// pump pool (one event-loop thread).
+    /// The in-process loopback mesh: bind one `127.0.0.1` listener per
+    /// locality, all hosted here ([`TcpBootstrap::in_process`]), no
+    /// shared-memory links.
     ///
     /// # Errors
-    /// Fails if a listener cannot be bound on `127.0.0.1` or a poller
+    /// Fails if a listener cannot be bound on `127.0.0.1` or the poller
     /// cannot be created.
     pub fn new(localities: u32) -> std::io::Result<Arc<Self>> {
-        TcpTransport::with_tuning(localities, TcpTuning::default())
-    }
-
-    /// [`TcpTransport::new`] with explicit [`TcpTuning`].
-    ///
-    /// All-in-one mode is the degenerate bootstrap where every rank is
-    /// hosted in this process ([`TcpBootstrap::in_process`]).
-    ///
-    /// # Errors
-    /// Fails if a listener cannot be bound on `127.0.0.1` or a poller
-    /// cannot be created.
-    pub fn with_tuning(localities: u32, tuning: TcpTuning) -> std::io::Result<Arc<Self>> {
-        assert!(localities > 0, "transport needs at least one locality");
-        TcpTransport::from_bootstrap(TcpBootstrap::in_process(localities)?, tuning)
-    }
-
-    /// [`TcpTransport::with_tuning`] with the shared-memory backend
-    /// enabled: all localities live in this process, so every pair
-    /// exchanges frames over heap SPSC rings (no files, any OS) and TCP
-    /// only carries frames too large for a ring record.
-    ///
-    /// # Errors
-    /// Fails if a listener cannot be bound on `127.0.0.1` or a poller
-    /// cannot be created.
-    pub fn with_tuning_shm(localities: u32, tuning: ShmTuning) -> std::io::Result<Arc<Self>> {
-        assert!(localities > 0, "transport needs at least one locality");
-        TcpTransport::build(
-            TcpBootstrap::in_process(localities)?,
-            tuning.tcp,
-            Some(tuning.ring_bytes),
-        )
-    }
-
-    /// [`TcpTransport::from_bootstrap`] with the shared-memory backend
-    /// enabled: destinations whose boot-time host identity matches ours
-    /// ([`TcpBootstrap::same_host`]) are reached through SPSC rings in
-    /// an mmap'd `/dev/shm` segment (heap-backed when the peer rank is
-    /// hosted by this very process) and woken by doorbell; everything
-    /// else — remote hosts, frames larger than a ring record, or hosts
-    /// where segment setup fails — rides the normal TCP path.
-    ///
-    /// Per-link FIFO holds within each path; a frame that falls back to
-    /// TCP may be overtaken by later ring frames (the reliability
-    /// layer's sequencing heals this for sequenced traffic).
-    ///
-    /// # Errors
-    /// Fails if a poller cannot be created or a listener rejects
-    /// non-blocking mode. Shared-memory setup failures are *not* errors:
-    /// affected links quietly fall back to TCP.
-    pub fn from_bootstrap_shm(
-        bootstrap: TcpBootstrap,
-        tuning: ShmTuning,
-    ) -> std::io::Result<Arc<Self>> {
-        TcpTransport::build(bootstrap, tuning.tcp, Some(tuning.ring_bytes))
+        TcpTransport::from_bootstrap(TcpBootstrap::in_process(localities)?, None)
     }
 
     /// Build the transport over a completed boot handshake: the
@@ -451,36 +325,32 @@ impl TcpTransport {
     /// ranks this process hosts. One code path serves in-process,
     /// address-book and rendezvous boots.
     ///
+    /// `shm` enables the shared-memory backend: destinations whose
+    /// boot-time host identity matches ours ([`TcpBootstrap::same_host`])
+    /// are reached through SPSC rings — heap-backed when the peer rank is
+    /// hosted by this very process, an mmap'd `/dev/shm` segment
+    /// otherwise — and woken by doorbell; everything else (remote hosts,
+    /// frames larger than a ring record, hosts where segment setup
+    /// fails) rides the normal TCP path. Per-link FIFO holds within each
+    /// path; a frame that falls back to TCP may be overtaken by later
+    /// ring frames (the reliability layer's sequencing heals this for
+    /// sequenced traffic).
+    ///
     /// # Errors
-    /// Fails if a poller cannot be created or a listener rejects
-    /// non-blocking mode.
+    /// Fails if the poller cannot be created or a listener rejects
+    /// non-blocking mode. Shared-memory setup failures are *not* errors:
+    /// affected links quietly fall back to TCP.
     pub fn from_bootstrap(
         bootstrap: TcpBootstrap,
-        tuning: TcpTuning,
-    ) -> std::io::Result<Arc<Self>> {
-        TcpTransport::build(bootstrap, tuning, None)
-    }
-
-    /// The one constructor behind every public entry point.
-    /// `shm_ring_bytes` enables the shared-memory backend with that ring
-    /// size; `None` builds the classic all-TCP transport.
-    fn build(
-        bootstrap: TcpBootstrap,
-        tuning: TcpTuning,
-        shm_ring_bytes: Option<usize>,
+        shm: Option<ShmTuning>,
     ) -> std::io::Result<Arc<Self>> {
         // Same-host wiring needs the bootstrap's host identities, so it
         // runs before the destructure consumes them.
-        let mut shm = match shm_ring_bytes {
-            Some(rb) => build_shm_wiring(&bootstrap, rb),
+        let mut shm = match shm {
+            Some(tuning) => build_shm_wiring(&bootstrap, tuning.ring_bytes),
             None => ShmWiring::default(),
         };
-        let TcpBootstrap {
-            local,
-            addrs,
-            host_ids,
-        } = bootstrap;
-        let _ = host_ids; // folded into the shm wiring above
+        let TcpBootstrap { local, addrs, .. } = bootstrap;
 
         let localities = addrs.len() as u32;
         assert!(localities > 0, "transport needs at least one locality");
@@ -488,98 +358,56 @@ impl TcpTransport {
             localities < (1 << 24),
             "locality id must fit the token scheme"
         );
-        let pump_threads = tuning.pump_threads.max(1);
-        let shards: Vec<Arc<Poller>> = (0..pump_threads)
-            .map(|_| Poller::new().map(Arc::new))
-            .collect::<std::io::Result<_>>()?;
         let mesh = Arc::new(Mesh {
             addrs,
             in_wire: (0..localities).map(|_| AtomicU64::new(0)).collect(),
             shutdown: AtomicBool::new(false),
-            shards,
+            poller: Poller::new()?,
             shm_segments: Mutex::new(std::mem::take(&mut shm.mapped)),
         });
         let mut ports: Vec<Option<Arc<TcpShared>>> = (0..localities).map(|_| None).collect();
-        for (rank, _) in &local {
-            let (outbound_tx, outbound_rx) = unbounded();
+        let mut listeners = Vec::with_capacity(local.len());
+        let mut shm_states = Vec::new();
+        for (rank, listener) in local {
+            listener.set_nonblocking(true)?;
+            listeners.push((rank, listener));
             let (inbound_tx, inbound_rx) = unbounded();
-            let (shm_senders, shm_gauges, shm_recv) = match shm.per_rank.get_mut(rank) {
-                Some(w) => (
-                    std::mem::take(&mut w.senders),
-                    std::mem::take(&mut w.gauges),
-                    std::mem::take(&mut w.recv),
-                ),
-                None => (HashMap::new(), Vec::new(), Vec::new()),
+            let (shm_senders, shm_gauges, shm_recv, doorbell) = match shm.per_rank.remove(&rank) {
+                Some(w) => (w.senders, w.gauges, w.recv, Some(w.doorbell)),
+                None => Default::default(),
             };
-            ports[*rank as usize] = Some(Arc::new(TcpShared {
-                locality: *rank,
+            let port = Arc::new(TcpShared {
+                front: PortFront::new(rank, localities),
                 mesh: Arc::clone(&mesh),
-                outbound_tx,
-                outbound_rx,
                 inbound_tx,
                 inbound_rx,
                 conns: Mutex::new((0..localities).map(|_| None).collect()),
-                receiver: RwLock::new(None),
-                notify: RwLock::new(None),
-                faults: RwLock::new(None),
-                reorder: Mutex::new(FaultStage::default()),
-                stats: PortStats::default(),
-                processing: AtomicUsize::new(0),
                 staged: AtomicUsize::new(0),
                 shm_tx: Mutex::new(shm_senders),
                 shm_rx_inflight: shm_gauges,
                 shm_rx: Mutex::new(shm_recv),
-            }));
-        }
-        // Shard the hosted listeners over the pump pool; each thread owns
-        // the listeners (and the inbound streams they accept) of its
-        // shard, plus the doorbells of its ranks. Hosted ranks are
-        // enumerated in order, so the all-in-one mode keeps its
-        // historical `locality % pump_threads` layout.
-        let mut shard_listeners: Vec<Vec<(u32, TcpListener)>> =
-            (0..pump_threads).map(|_| Vec::new()).collect();
-        let mut shard_shm: Vec<Vec<ShmRecvState>> = (0..pump_threads).map(|_| Vec::new()).collect();
-        for (idx, (rank, listener)) in local.into_iter().enumerate() {
-            listener.set_nonblocking(true)?;
-            let shard = idx % pump_threads;
-            shard_listeners[shard].push((rank, listener));
-            if let Some(w) = shm.per_rank.remove(&rank) {
-                shard_shm[shard].push(ShmRecvState {
-                    port: Arc::clone(ports[rank as usize].as_ref().expect("hosted rank")),
-                    doorbell: w.doorbell,
+            });
+            if let Some(doorbell) = doorbell {
+                shm_states.push(ShmRecvState {
+                    port: Arc::clone(&port),
+                    doorbell,
                 });
             }
+            ports[rank as usize] = Some(port);
         }
-        let pumps = shard_listeners
-            .into_iter()
-            .zip(shard_shm)
-            .enumerate()
-            .map(|(shard, (listeners, shm_states))| {
-                let poller = Arc::clone(&mesh.shards[shard]);
-                let mesh = Arc::clone(&mesh);
-                let ports = ports.clone();
-                std::thread::Builder::new()
-                    .name(format!("rpx-tcp-pump{shard}"))
-                    .spawn(move || run_pump(poller, mesh, ports, listeners, shm_states))
-                    .expect("spawn pump thread")
-            })
-            .collect();
+        let pump = {
+            let mesh = Arc::clone(&mesh);
+            let ports = ports.clone();
+            std::thread::Builder::new()
+                .name("rpx-tcp-pump0".into())
+                .spawn(move || run_pump(mesh, ports, listeners, shm_states))
+                .expect("spawn pump thread")
+        };
         Ok(Arc::new(TcpTransport {
             ports,
             mesh,
-            tuning: TcpTuning { pump_threads },
-            pumps: Mutex::new(pumps),
+            pump: Some(pump),
         }))
-    }
-
-    /// Number of localities in the cluster (hosted here or not).
-    pub fn localities(&self) -> u32 {
-        self.mesh.addrs.len() as u32
-    }
-
-    /// The effective tuning (after clamping).
-    pub fn tuning(&self) -> TcpTuning {
-        self.tuning
     }
 
     /// The loopback address `locality`'s listener is bound to. External
@@ -592,12 +420,25 @@ impl TcpTransport {
         self.mesh.addrs[locality as usize]
     }
 
-    /// The port of `locality`.
-    ///
+    /// The localities whose endpoints live in this process.
+    pub fn hosted(&self) -> Vec<u32> {
+        self.ports
+            .iter()
+            .filter_map(|p| p.as_ref().map(|s| s.front.locality))
+            .collect()
+    }
+}
+
+impl Transport for TcpTransport {
+    /// Number of localities in the cluster (hosted here or not).
+    fn localities(&self) -> u32 {
+        self.mesh.addrs.len() as u32
+    }
+
     /// # Panics
     /// Panics if `locality` is out of range or hosted by another
     /// process.
-    pub fn port(&self, locality: u32) -> TcpPort {
+    fn port(&self, locality: u32) -> Arc<dyn TransportPort> {
         assert!(
             (locality as usize) < self.ports.len(),
             "locality {locality} out of range"
@@ -605,33 +446,13 @@ impl TcpTransport {
         let shared = self.ports[locality as usize]
             .as_ref()
             .unwrap_or_else(|| panic!("locality {locality} is not hosted by this process"));
-        TcpPort {
-            shared: Arc::clone(shared),
-        }
-    }
-
-    /// The localities whose endpoints live in this process.
-    pub fn hosted(&self) -> Vec<u32> {
-        self.ports
-            .iter()
-            .filter_map(|p| p.as_ref().map(|s| s.locality))
-            .collect()
-    }
-}
-
-impl Transport for TcpTransport {
-    fn localities(&self) -> u32 {
-        TcpTransport::localities(self)
-    }
-
-    fn port(&self, locality: u32) -> Arc<dyn TransportPort> {
-        Arc::new(TcpTransport::port(self, locality))
+        Arc::clone(shared) as Arc<dyn TransportPort>
     }
 }
 
 /// Per-hosted-rank shared-memory wiring produced before the transport's
-/// shared state exists (consumers/doorbell move into the rank's pump
-/// thread; senders/gauges into its `TcpShared`).
+/// shared state exists (the doorbell moves into the pump thread;
+/// senders, consumers and gauges into the rank's `TcpShared`).
 struct ShmRankWiring {
     senders: HashMap<usize, ShmSender>,
     gauges: Vec<(Arc<ShmSegment>, usize)>,
@@ -812,8 +633,8 @@ impl Drop for TcpTransport {
         for seg in self.mesh.shm_segments.lock().drain(..) {
             seg.unlink_now();
         }
-        // Drop every outgoing stream (closing removes it from its
-        // shard's poller), unaccounting frames that never hit the wire.
+        // Drop every outgoing stream (closing removes it from the
+        // poller), unaccounting frames that never hit the wire.
         for port in self.ports.iter().flatten() {
             let mut conns = port.conns.lock();
             for (dst, slot) in conns.iter_mut().enumerate() {
@@ -822,29 +643,26 @@ impl Drop for TcpTransport {
                 }
             }
         }
-        // Wake every pump thread; each drains its inbound streams once
-        // and exits. Shutdown cost is O(pump_threads), independent of
-        // the number of open connections.
-        for shard in &self.mesh.shards {
-            shard.wake();
-        }
-        for h in self.pumps.lock().drain(..) {
-            let _ = h.join();
+        // Wake the pump thread; it drains its inbound streams once and
+        // exits, however many connections are open.
+        self.mesh.poller.wake();
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
         }
     }
 }
 
 // ---- the event loop ---------------------------------------------------
 
-/// One pump thread: multiplex this shard's listeners, inbound streams
-/// and outbound flush work through a single poller.
+/// The pump thread: multiplex every listener, inbound stream, doorbell
+/// and outbound flush through the mesh's poller.
 fn run_pump(
-    poller: Arc<Poller>,
     mesh: Arc<Mesh>,
     ports: Vec<Option<Arc<TcpShared>>>,
     listeners: Vec<(u32, TcpListener)>,
     shm_states: Vec<ShmRecvState>,
 ) {
+    let poller = &mesh.poller;
     let mut inconns: HashMap<u64, InConn> = HashMap::new();
     let mut next_in_id: u64 = 0;
     let mut events = Vec::new();
@@ -856,7 +674,7 @@ fn run_pump(
         // Both doorbell legs (eventfd + named datagram socket) share the
         // rank's bell token. Registration failures degrade to the
         // opportunistic per-wake drain below.
-        let token = bell_token(state.port.locality);
+        let token = bell_token(state.port.front.locality);
         let _ = poller.register(state.doorbell.event_fd(), token, Interest::READ);
         let _ = poller.register(state.doorbell.socket_fd(), token, Interest::READ);
     }
@@ -882,9 +700,10 @@ fn run_pump(
             match ev.token >> TOKEN_CLASS_SHIFT {
                 CLASS_BELL => {
                     let rank = (ev.token & 0xFF_FFFF) as u32;
-                    if let Some(state) = shm_states.iter().find(|s| s.port.locality == rank) {
+                    if let Some(state) = shm_states.iter().find(|s| s.port.front.locality == rank) {
                         state
                             .port
+                            .front
                             .stats
                             .doorbell_wakeups
                             .fetch_add(1, Ordering::Relaxed);
@@ -907,7 +726,7 @@ fn run_pump(
                         continue;
                     };
                     accept_ready(
-                        &poller,
+                        poller,
                         port,
                         listener,
                         &mut inconns,
@@ -922,7 +741,10 @@ fn run_pump(
                     let Some(port) = ports.get(src).and_then(|p| p.as_ref()) else {
                         continue;
                     };
-                    port.stats.event_wakeups.fetch_add(1, Ordering::Relaxed);
+                    port.front
+                        .stats
+                        .event_wakeups
+                        .fetch_add(1, Ordering::Relaxed);
                     let mut conns = port.conns.lock();
                     if let Some(conn) = conns[dst].as_mut() {
                         flush_conn(port, dst, conn);
@@ -938,6 +760,7 @@ fn run_pump(
                 CLASS_IN => {
                     if let Some(conn) = inconns.get_mut(&ev.token) {
                         conn.port
+                            .front
                             .stats
                             .event_wakeups
                             .fetch_add(1, Ordering::Relaxed);
@@ -1071,18 +894,23 @@ fn service_shm_rings(port: &TcpShared, spin: bool, block: bool) -> u64 {
             });
             if decoded > 0 {
                 r.seg.sub_inflight(r.ring, decoded);
-                port.stats
+                port.front
+                    .stats
                     .shm_messages
                     .fetch_add(decoded - failures, Ordering::Relaxed);
-                port.stats.shm_bytes.fetch_add(bytes, Ordering::Relaxed);
+                port.front
+                    .stats
+                    .shm_bytes
+                    .fetch_add(bytes, Ordering::Relaxed);
             }
             if failures > 0 {
-                port.stats
+                port.front
+                    .stats
                     .decode_failures
                     .fetch_add(failures, Ordering::Relaxed);
             }
             if delivered {
-                port.notify();
+                port.front.notify();
             }
             if pop.producer_waiting {
                 r.src_bell.ring();
@@ -1093,7 +921,10 @@ fn service_shm_rings(port: &TcpShared, spin: bool, block: bool) -> u64 {
                 // live in the peer; we simply stop reading) and settle
                 // its gauge so quiescence does not hang.
                 r.dead = true;
-                port.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
+                port.front
+                    .stats
+                    .decode_failures
+                    .fetch_add(1, Ordering::Relaxed);
                 let stuck = r.seg.inflight(r.ring);
                 r.seg.sub_inflight(r.ring, stuck);
             }
@@ -1198,7 +1029,7 @@ fn stage_shm(shared: &TcpShared, dst: usize, frame: Vec<u8>) -> Result<(), Vec<u
 }
 
 /// Accept everything queued on a ready listener, registering each new
-/// stream for reads on this shard.
+/// stream for reads.
 fn accept_ready(
     poller: &Poller,
     port: &Arc<TcpShared>,
@@ -1213,7 +1044,10 @@ fn accept_ready(
                 if shutting_down {
                     continue; // drain the queue, admit nobody
                 }
-                port.stats.event_wakeups.fetch_add(1, Ordering::Relaxed);
+                port.front
+                    .stats
+                    .event_wakeups
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
                     continue;
@@ -1281,6 +1115,7 @@ fn service_in_conn(conn: &mut InConn, scratch: &mut [u8]) -> bool {
             }
         };
         conn.port
+            .front
             .stats
             .readv_batches
             .fetch_add(1, Ordering::Relaxed);
@@ -1326,7 +1161,7 @@ fn extract_frames(conn: &mut InConn) -> bool {
     }
     if consumed > 0 {
         let chunk = conn.buf.split_to(consumed).freeze();
-        let dst = conn.port.locality as usize;
+        let dst = conn.port.front.locality as usize;
         let mut off = 0;
         let mut delivered = false;
         let mut frames: u64 = 0;
@@ -1346,6 +1181,7 @@ fn extract_frames(conn: &mut InConn) -> bool {
                 }
                 Err(_) => {
                     conn.port
+                        .front
                         .stats
                         .decode_failures
                         .fetch_add(1, Ordering::Relaxed);
@@ -1360,17 +1196,20 @@ fn extract_frames(conn: &mut InConn) -> bool {
         // frame of the batch is already published.
         conn.port.mesh.unwire_n(dst, frames);
         if delivered {
-            conn.port.notify();
+            conn.port.front.notify();
         }
     }
     if desync {
         // The stream is desynchronised beyond recovery: count one
         // failure and abandon the connection.
         conn.port
+            .front
             .stats
             .decode_failures
             .fetch_add(1, Ordering::Relaxed);
-        conn.port.mesh.unwire(conn.port.locality as usize);
+        conn.port
+            .mesh
+            .unwire_n(conn.port.front.locality as usize, 1);
         return false;
     }
     true
@@ -1414,7 +1253,11 @@ fn flush_conn(shared: &TcpShared, dst: usize, conn: &mut OutConn) -> bool {
                         conn.pending.pop_front();
                         conn.offset = 0;
                         n -= front_remaining;
-                        shared.stats.writev_frames.fetch_add(1, Ordering::Relaxed);
+                        shared
+                            .front
+                            .stats
+                            .writev_frames
+                            .fetch_add(1, Ordering::Relaxed);
                         shared.staged.fetch_sub(1, Ordering::AcqRel);
                     } else {
                         conn.offset += n;
@@ -1443,14 +1286,11 @@ fn break_conn(shared: &TcpShared, dst: usize, conn: &mut OutConn) {
     conn.pending.clear();
     conn.offset = 0;
     conn.broken = true;
-    shared
-        .mesh
-        .out_shard(shared.locality, dst as u32)
-        .deregister(raw_fd(&conn.stream));
+    shared.mesh.poller.deregister(raw_fd(&conn.stream));
     conn.armed = false;
 }
 
-/// Arm `EPOLLOUT` on the connection's shard while (and only while)
+/// Arm `EPOLLOUT` on the poller while (and only while)
 /// bytes are pending, so a `WouldBlock`ed flush resumes as soon as the
 /// kernel drains instead of waiting for the next scheduler pump.
 fn update_write_interest(shared: &TcpShared, dst: usize, conn: &mut OutConn) {
@@ -1468,245 +1308,92 @@ fn update_write_interest(shared: &TcpShared, dst: usize, conn: &mut OutConn) {
                 writable: false,
             }
         };
-        let _ = shared
-            .mesh
-            .out_shard(shared.locality, dst as u32)
-            .reregister(
-                raw_fd(&conn.stream),
-                out_token(shared.locality, dst as u32),
-                interest,
-            );
+        let _ = shared.mesh.poller.reregister(
+            raw_fd(&conn.stream),
+            out_token(shared.front.locality, dst as u32),
+            interest,
+        );
         conn.armed = want;
     }
 }
 
-/// A locality's endpoint on the loopback-TCP transport.
-#[derive(Clone)]
-pub struct TcpPort {
-    shared: Arc<TcpShared>,
-}
-
-impl TcpPort {
-    /// This port's locality id.
-    pub fn locality(&self) -> u32 {
-        self.shared.locality
+impl Wire for TcpShared {
+    fn front(&self) -> &PortFront {
+        &self.front
     }
 
-    /// Traffic statistics (byte counters are frame bytes on the wire).
-    pub fn stats(&self) -> &PortStats {
-        &self.shared.stats
-    }
-
-    /// Install the handler invoked (from pump threads) for every
-    /// delivered message.
-    pub fn set_receiver(&self, handler: ReceiveHandler) {
-        *self.shared.receiver.write() = Some(handler);
-    }
-
-    /// Install a wake-up hook called whenever traffic lands on this
-    /// port's queues.
-    pub fn set_notify(&self, notify: NotifyFn) {
-        *self.shared.notify.write() = Some(notify);
-    }
-
-    /// Install (or clear) a failure-injection plan for this port's
-    /// outbound messages.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.shared.faults.write() = plan;
-    }
-
-    /// Enqueue a message for transmission. Cheap and syscall-free; the
-    /// socket work happens in [`TcpPort::pump_send`].
-    ///
-    /// # Panics
-    /// Panics if `message.dst` is out of range or `message.src` does not
-    /// match this port.
-    pub fn send(&self, message: Message) {
-        assert_eq!(message.src, self.shared.locality, "src must be this port");
-        assert!(
-            (message.dst as usize) < self.shared.mesh.addrs.len(),
-            "destination {} out of range",
-            message.dst
-        );
-        self.shared.stats.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .outbound_tx
-            .send(message)
-            .expect("outbound channel lives as long as the transport");
-        self.shared.notify();
-    }
-
-    /// Pump outbound messages: encode queued messages into frames, stage
-    /// them on per-destination write buffers and drive non-blocking
-    /// vectored writes. Returns `true` if any work was done.
-    pub fn pump_send(&self) -> bool {
-        let shared = &self.shared;
+    /// Encode queued messages into frames, stage them on per-destination
+    /// write buffers (or shm rings) and drive non-blocking vectored
+    /// writes.
+    fn drive_send(&self) -> bool {
         // Another thread already pumping this port's sockets? Yield.
-        let Some(mut conns) = shared.conns.try_lock() else {
+        let Some(mut conns) = self.conns.try_lock() else {
             return false;
         };
-        let mut did_work = false;
-        // Release delay/reorder-parked frames that are due (their
-        // statistics were charged when they first passed below).
-        let mut released = Vec::new();
-        shared.reorder.lock().drain_ready(&mut released);
-        for (dst, frame) in released {
-            let _guard = ProcessingGuard::enter(&shared.processing);
-            did_work = true;
-            stage_frame(shared, &mut conns, dst, frame);
-        }
-        for _ in 0..PUMP_BATCH {
-            let Ok(message) = shared.outbound_rx.try_recv() else {
-                break;
-            };
-            let _guard = ProcessingGuard::enter(&shared.processing);
-            did_work = true;
-            shared.stats.sent_messages.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .sent_bytes
-                .fetch_add(wire_len(&message) as u64, Ordering::Relaxed);
-            // Failure injection, mirroring the simulated backend: the
-            // send cost is paid, then the wire loses, mangles, duplicates,
-            // delays or reorders the frame.
-            let plan = shared.faults.read().clone();
-            let (action, delay, window) = match &plan {
-                Some(p) => (p.decide(), p.delay, p.reorder_window.unwrap_or(1)),
-                None => (FaultAction::Deliver, std::time::Duration::ZERO, 1),
-            };
-            if action != FaultAction::Reorder {
-                // Everything reaching the wire overtakes parked frames
-                // (dropped messages consumed a wire slot too).
-                shared.reorder.lock().on_pass();
-            }
-            let dst = message.dst as usize;
-            match action {
-                FaultAction::Drop => {
-                    if message.class == DeliveryClass::BestEffort {
-                        shared
-                            .stats
-                            .best_effort_dropped
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                FaultAction::Corrupt => {
-                    let mut frame = encode_frame(&message);
+        let mut did_work = self.front.pump_outbound(
+            |_| {},
+            |message, corrupt| {
+                let mut frame = encode_frame(&message);
+                if corrupt {
+                    // The mangled frame travels for real: the
+                    // *receiver's* checksum fails.
                     corrupt_frame(&mut frame);
-                    stage_frame(shared, &mut conns, dst, frame);
                 }
-                FaultAction::Duplicate => {
-                    let frame = encode_frame(&message);
-                    stage_frame(shared, &mut conns, dst, frame.clone());
-                    stage_frame(shared, &mut conns, dst, frame);
-                }
-                FaultAction::Delay => {
-                    // No delivery clock on this backend: park the frame
-                    // with the delay as its (sole) release deadline.
-                    let frame = encode_frame(&message);
-                    shared
-                        .reorder
-                        .lock()
-                        .hold_for((dst, frame), u64::MAX, delay);
-                }
-                FaultAction::Reorder => {
-                    let frame = encode_frame(&message);
-                    shared.reorder.lock().hold((dst, frame), window);
-                }
-                FaultAction::Deliver => {
-                    stage_frame(shared, &mut conns, dst, encode_frame(&message))
-                }
-            }
-        }
+                stage_frame(self, &mut conns, message.dst as usize, frame);
+            },
+        );
         // Flush every connection with buffered bytes (including leftovers
         // from earlier pumps that hit WouldBlock), then leave EPOLLOUT
-        // armed on any that still hold bytes so the pump threads finish
+        // armed on any that still hold bytes so the pump thread finishes
         // the job without waiting for the next scheduler pump.
         for (dst, slot) in conns.iter_mut().enumerate() {
             if let Some(conn) = slot {
                 if !conn.pending.is_empty() {
-                    did_work |= flush_conn(shared, dst, conn);
+                    did_work |= flush_conn(self, dst, conn);
                 }
-                update_write_interest(shared, dst, conn);
+                update_write_interest(self, dst, conn);
             }
         }
         // Retry ring-full parked shm frames too (the doorbell path also
         // does this, but scheduler pumps guarantee progress even when a
         // bell was coalesced away).
-        did_work |= flush_shm_pending(shared);
+        did_work |= flush_shm_pending(self);
         did_work
     }
 
-    /// Deliver received messages to the handler on the calling thread.
-    /// Returns `true` if any message was delivered.
-    pub fn pump_recv(&self) -> bool {
-        let handler = self.shared.receiver.read().clone();
-        let Some(handler) = handler else {
-            return false;
-        };
+    fn drive_recv(&self) -> bool {
         // Drain shared-memory rings directly on the pumping thread —
         // the low-latency path (no doorbell/poller detour). Contended
         // lock = another thread is draining; skip.
-        service_shm_rings(&self.shared, false, false);
-        let mut did_work = false;
-        for _ in 0..PUMP_BATCH {
-            let Ok(message) = self.shared.inbound_rx.try_recv() else {
-                break;
-            };
-            let _guard = ProcessingGuard::enter(&self.shared.processing);
-            did_work = true;
-            self.shared
-                .stats
-                .received_messages
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .stats
-                .received_bytes
-                .fetch_add(wire_len(&message) as u64, Ordering::Relaxed);
-            handler(message);
-        }
-        did_work
+        service_shm_rings(self, false, false);
+        self.front.pump_inbound(|| {
+            let message = self.inbound_rx.try_recv().ok()?;
+            Some((message, self.front.enter()))
+        })
     }
 
-    /// Convenience: one full pump pass (send then receive).
-    pub fn pump(&self) -> bool {
-        let s = self.pump_send();
-        let r = self.pump_recv();
-        s || r
-    }
-
-    /// Messages queued but not yet written to a socket: the outbound
-    /// queue, frames parked by delay/reorder fault injection, and frames
-    /// staged on write buffers. The staged term is what lets a
-    /// quiescence check in *this* process see frames still owed to a
-    /// rank hosted elsewhere (whose `inflight_backlog` it cannot
-    /// observe).
-    pub fn outbound_backlog(&self) -> usize {
-        self.shared.outbound_rx.len()
-            + self.shared.reorder.lock().len()
-            + self.shared.staged.load(Ordering::Acquire)
+    /// Frames staged on write buffers or waiting for ring space. This is
+    /// what lets a quiescence check in *this* process see frames still
+    /// owed to a rank hosted elsewhere (whose `inflight_backlog` it
+    /// cannot observe).
+    fn staged(&self) -> usize {
+        self.staged.load(Ordering::Acquire)
     }
 
     /// Frames on the wire towards this port (write buffers + kernel +
-    /// pump threads + shared-memory rings) plus decoded messages
-    /// awaiting `pump_recv`. The shm term reads the per-ring gauge in
-    /// the *shared* segment header, so it sees frames parked by a
-    /// sender in another process.
-    pub fn inflight_backlog(&self) -> usize {
+    /// pump thread + shared-memory rings) plus decoded messages awaiting
+    /// `pump_recv`. The shm term reads the per-ring gauge in the
+    /// *shared* segment header, so it sees frames parked by a sender in
+    /// another process.
+    fn inflight(&self) -> usize {
         let shm: u64 = self
-            .shared
             .shm_rx_inflight
             .iter()
             .map(|(seg, ring)| seg.inflight(*ring))
             .sum();
-        self.shared.mesh.in_wire[self.shared.locality as usize].load(Ordering::Acquire) as usize
-            + self.shared.inbound_rx.len()
+        self.mesh.in_wire[self.front.locality as usize].load(Ordering::Acquire) as usize
+            + self.inbound_rx.len()
             + shm as usize
-    }
-
-    /// Messages currently mid-pump on this port.
-    pub fn processing(&self) -> usize {
-        self.shared.processing.load(Ordering::Acquire)
     }
 }
 
@@ -1732,7 +1419,7 @@ fn stage_frame(shared: &TcpShared, conns: &mut [Option<OutConn>], dst: usize, fr
 }
 
 /// Get (or lazily establish) the outgoing connection to `dst`,
-/// registering it (with no interest armed yet) on its poll shard.
+/// registering it (with no interest armed yet) on the poller.
 fn ensure_conn<'a>(
     shared: &TcpShared,
     conns: &'a mut [Option<OutConn>],
@@ -1744,9 +1431,9 @@ fn ensure_conn<'a>(
         stream.set_nonblocking(true).ok()?;
         // Empty interest: EPOLLOUT is armed only while bytes pend;
         // error/hang-up conditions are still reported.
-        let _ = shared.mesh.out_shard(shared.locality, dst as u32).register(
+        let _ = shared.mesh.poller.register(
             raw_fd(&stream),
-            out_token(shared.locality, dst as u32),
+            out_token(shared.front.locality, dst as u32),
             Interest {
                 readable: false,
                 writable: false,
@@ -1763,49 +1450,16 @@ fn ensure_conn<'a>(
     conns[dst].as_mut()
 }
 
-impl TransportPort for TcpPort {
-    fn locality(&self) -> u32 {
-        TcpPort::locality(self)
-    }
-    fn stats(&self) -> &PortStats {
-        TcpPort::stats(self)
-    }
-    fn send(&self, message: Message) {
-        TcpPort::send(self, message)
-    }
-    fn pump_send(&self) -> bool {
-        TcpPort::pump_send(self)
-    }
-    fn pump_recv(&self) -> bool {
-        TcpPort::pump_recv(self)
-    }
-    fn set_receiver(&self, handler: ReceiveHandler) {
-        TcpPort::set_receiver(self, handler)
-    }
-    fn set_notify(&self, notify: NotifyFn) {
-        TcpPort::set_notify(self, notify)
-    }
-    fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        TcpPort::set_fault_plan(self, plan)
-    }
-    fn outbound_backlog(&self) -> usize {
-        TcpPort::outbound_backlog(self)
-    }
-    fn inflight_backlog(&self) -> usize {
-        TcpPort::inflight_backlog(self)
-    }
-    fn processing(&self) -> usize {
-        TcpPort::processing(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::frame::frame_len;
     use crate::message::MessageKind;
     use bytes::Bytes;
     use std::time::{Duration, Instant};
+
+    type Port = Arc<dyn TransportPort>;
 
     fn msg(src: u32, dst: u32, payload: &[u8]) -> Message {
         Message::new(
@@ -1816,7 +1470,7 @@ mod tests {
         )
     }
 
-    fn pump_until<F: Fn() -> bool>(ports: &[TcpPort], done: F, timeout: Duration) -> bool {
+    fn pump_until<F: Fn() -> bool>(ports: &[Port], done: F, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while !done() {
             for p in ports {
@@ -2054,7 +1708,7 @@ mod tests {
 
     #[test]
     #[cfg(target_os = "linux")]
-    fn thread_count_is_o_pump_threads_not_o_connections() {
+    fn thread_count_is_independent_of_connections() {
         const CONNS: usize = 256;
         let before = os_thread_count();
         let transport = TcpTransport::new(2).expect("bind loopback");
@@ -2079,7 +1733,8 @@ mod tests {
             Duration::from_secs(60)
         ));
         let during = os_thread_count();
-        let budget = transport.tuning().pump_threads + 2;
+        // The pump thread, plus slack for the test harness's own threads.
+        let budget = 1 + 2;
         assert!(
             during <= before + budget,
             "{CONNS} connections cost {} extra threads (budget {budget})",
@@ -2123,32 +1778,6 @@ mod tests {
     }
 
     #[test]
-    fn pump_pool_is_shardable() {
-        let transport =
-            TcpTransport::with_tuning(4, TcpTuning { pump_threads: 2 }).expect("bind loopback");
-        assert_eq!(transport.tuning().pump_threads, 2);
-        let ports: Vec<TcpPort> = (0..4).map(|l| transport.port(l)).collect();
-        let hits = Arc::new(AtomicU64::new(0));
-        for p in &ports {
-            let h = Arc::clone(&hits);
-            p.set_receiver(Arc::new(move |_| {
-                h.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        // All-to-all traffic across both shards.
-        for src in 0..4u32 {
-            for dst in 0..4u32 {
-                ports[src as usize].send(msg(src, dst, b"shard"));
-            }
-        }
-        assert!(pump_until(
-            &ports,
-            || hits.load(Ordering::SeqCst) == 16,
-            Duration::from_secs(30)
-        ));
-    }
-
-    #[test]
     fn split_transports_exchange_over_rank_handshake() {
         // Two transports in one test process stand in for two worker
         // processes: each hosts a single rank, discovered through the
@@ -2164,8 +1793,8 @@ mod tests {
         let h1 = std::thread::spawn(move || {
             TcpBootstrap::rendezvous(1, 2, rdv, Duration::from_secs(5)).unwrap()
         });
-        let t0 = TcpTransport::from_bootstrap(h0.join().unwrap(), TcpTuning::default()).unwrap();
-        let t1 = TcpTransport::from_bootstrap(h1.join().unwrap(), TcpTuning::default()).unwrap();
+        let t0 = TcpTransport::from_bootstrap(h0.join().unwrap(), None).unwrap();
+        let t1 = TcpTransport::from_bootstrap(h1.join().unwrap(), None).unwrap();
         assert_eq!(t0.hosted(), vec![0]);
         assert_eq!(t1.hosted(), vec![1]);
         assert_eq!(t0.localities(), 2);
@@ -2204,8 +1833,8 @@ mod tests {
         let h1 = std::thread::spawn(move || {
             TcpBootstrap::rendezvous(1, 2, rdv, Duration::from_secs(5)).unwrap()
         });
-        let t0 = TcpTransport::from_bootstrap(h0.join().unwrap(), TcpTuning::default()).unwrap();
-        let _t1 = TcpTransport::from_bootstrap(h1.join().unwrap(), TcpTuning::default()).unwrap();
+        let t0 = TcpTransport::from_bootstrap(h0.join().unwrap(), None).unwrap();
+        let _t1 = TcpTransport::from_bootstrap(h1.join().unwrap(), None).unwrap();
         let _ = t0.port(1);
     }
 
@@ -2246,16 +1875,14 @@ mod tests {
 
     // ---- shared-memory backend ---------------------------------------
 
-    fn shm_tuning(ring_bytes: usize) -> ShmTuning {
-        ShmTuning {
-            tcp: TcpTuning::default(),
-            ring_bytes,
-        }
+    fn shm_mesh(localities: u32, ring_bytes: usize) -> Arc<TcpTransport> {
+        let boot = TcpBootstrap::in_process(localities).expect("bind loopback");
+        TcpTransport::from_bootstrap(boot, Some(ShmTuning { ring_bytes })).unwrap()
     }
 
     #[test]
     fn shm_delivers_without_touching_sockets() {
-        let transport = TcpTransport::with_tuning_shm(2, shm_tuning(64 * 1024)).unwrap();
+        let transport = shm_mesh(2, 64 * 1024);
         let a = transport.port(0);
         let b = transport.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -2291,7 +1918,7 @@ mod tests {
     fn shm_fifo_preserved_under_ring_full_backpressure() {
         // Ring of 1 KiB with ~40-byte frames: forces the Full → pending
         // → doorbell-flush path many times over.
-        let transport = TcpTransport::with_tuning_shm(2, shm_tuning(1024)).unwrap();
+        let transport = shm_mesh(2, 1024);
         let a = transport.port(0);
         let b = transport.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -2317,7 +1944,7 @@ mod tests {
     #[test]
     fn shm_oversize_frames_fall_back_to_tcp() {
         // max_record = 4096/2 - 4; a 3 KiB payload cannot ride the ring.
-        let transport = TcpTransport::with_tuning_shm(2, shm_tuning(4096)).unwrap();
+        let transport = shm_mesh(2, 4096);
         let a = transport.port(0);
         let b = transport.port(1);
         let big = vec![0xAB; 3 * 1024];
@@ -2341,7 +1968,7 @@ mod tests {
 
     #[test]
     fn shm_self_send_loops_through_ring() {
-        let transport = TcpTransport::with_tuning_shm(1, shm_tuning(16 * 1024)).unwrap();
+        let transport = shm_mesh(1, 16 * 1024);
         let a = transport.port(0);
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
@@ -2360,7 +1987,7 @@ mod tests {
 
     #[test]
     fn shm_corrupt_fault_travels_ring_and_fails_decode() {
-        let transport = TcpTransport::with_tuning_shm(2, shm_tuning(64 * 1024)).unwrap();
+        let transport = shm_mesh(2, 64 * 1024);
         let a = transport.port(0);
         let b = transport.port(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -2400,7 +2027,9 @@ mod tests {
         let h1 = std::thread::spawn(move || {
             TcpBootstrap::rendezvous(1, 2, rdv, Duration::from_secs(5)).unwrap()
         });
-        let tuning = shm_tuning(64 * 1024);
+        let tuning = Some(ShmTuning {
+            ring_bytes: 64 * 1024,
+        });
         let b0 = h0.join().unwrap();
         let b1 = h1.join().unwrap();
         let seg_dir = ShmNamespace::segment_dir();
@@ -2419,8 +2048,8 @@ mod tests {
                 .unwrap_or(0)
         };
         let prefix = format!("rpx-{}", b0.addrs[0].port());
-        let t0 = TcpTransport::from_bootstrap_shm(b0, tuning).unwrap();
-        let t1 = TcpTransport::from_bootstrap_shm(b1, tuning).unwrap();
+        let t0 = TcpTransport::from_bootstrap(b0, tuning).unwrap();
+        let t1 = TcpTransport::from_bootstrap(b1, tuning).unwrap();
         let a = t0.port(0);
         let b = t1.port(1);
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -2445,7 +2074,7 @@ mod tests {
         assert_eq!(a.stats().writev_frames.load(Ordering::Relaxed), 0);
         assert_eq!(b.stats().writev_frames.load(Ordering::Relaxed), 0);
         // The unlink-when-both-attached handshake removes the segment
-        // file while traffic still flows (pump threads sweep it).
+        // file while traffic still flows (the pump thread sweeps it).
         let deadline = Instant::now() + Duration::from_secs(10);
         while count_segs(&prefix) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));
@@ -2461,9 +2090,9 @@ mod tests {
     fn shm_quiescence_counts_ring_resident_frames() {
         // Without pumping the receiver... frames pushed into the ring
         // must still show up in the destination's inflight gauge until
-        // delivered (pump threads may drain the ring into the inbound
+        // delivered (the pump thread may drain the ring into the inbound
         // queue at any time, so check the sum of both stages).
-        let transport = TcpTransport::with_tuning_shm(2, shm_tuning(64 * 1024)).unwrap();
+        let transport = shm_mesh(2, 64 * 1024);
         let a = transport.port(0);
         let b = transport.port(1);
         b.set_receiver(Arc::new(|_| {}));

@@ -1,16 +1,20 @@
 //! The transport abstraction: the seam between the parcel layer and
 //! whatever moves bytes between localities.
 //!
-//! Everything above `rpx-net` talks to a [`TransportPort`] trait object;
-//! the two implementations are
+//! Everything above `rpx-net` talks to a [`TransportPort`] trait object.
+//! The raw backends share one port front end (`port.rs`: outbound queue,
+//! statistics, quiescence gauges, fault injection) and differ only in
+//! the wire under it:
 //!
 //! * [`crate::SimTransport`] — the in-process simulated fabric charging
 //!   [`LinkModel`] costs in real CPU time (the reproduction's default),
 //! * [`crate::TcpTransport`] — real loopback TCP sockets with
 //!   length-prefixed frames and genuine per-message syscall overhead,
-//!   multiplexed by a small event-loop pump pool ([`TcpTuning`]).
+//!   multiplexed by one event-loop pump thread, optionally with
+//!   shared-memory rings towards same-host destinations ([`ShmTuning`]).
 //!
-//! Both are pumped by scheduler background work ([`TransportPort::pump_send`]
+//! [`crate::ReliablePort`] decorates either with acknowledged delivery.
+//! All are pumped by scheduler background work ([`TransportPort::pump_send`]
 //! / [`TransportPort::pump_recv`]), so their progress cost lands in the
 //! `/threads/background-work` account and the paper's Eq. 4 network
 //! overhead measures them identically. [`TransportKind`] is the builder
@@ -18,12 +22,14 @@
 
 use std::sync::Arc;
 
-use crate::fabric::{PortStats, SimTransport};
+use crate::bootstrap::TcpBootstrap;
+use crate::fabric::SimTransport;
 use crate::fault::FaultPlan;
 use crate::message::Message;
 use crate::model::LinkModel;
+use crate::port::PortStats;
 use crate::shm::ShmTuning;
-use crate::tcp::{TcpTransport, TcpTuning};
+use crate::tcp::TcpTransport;
 
 /// Handler invoked (from pump threads) for every delivered message.
 pub type ReceiveHandler = Arc<dyn Fn(Message) + Send + Sync>;
@@ -124,17 +130,14 @@ pub enum TransportKind {
     /// costs in real CPU time on pump threads.
     Sim(LinkModel),
     /// Real loopback TCP sockets (`127.0.0.1`): length-prefixed frames
-    /// multiplexed by an event-loop pump pool (default tuning: one pump
-    /// thread), vectored I/O, zero-copy frame decode.
+    /// multiplexed by one event-loop pump thread, vectored I/O,
+    /// zero-copy frame decode.
     TcpLoopback,
-    /// [`TransportKind::TcpLoopback`] with explicit [`TcpTuning`]
-    /// (e.g. more pump threads for very large connection fan-in).
-    TcpTuned(TcpTuning),
     /// The TCP transport with the shared-memory backend enabled:
     /// same-host destinations are reached through SPSC byte rings in
     /// shared segments (heap in all-in-one mode, mmap'd `/dev/shm`
     /// files across processes) with doorbell wakeups; remote hosts and
-    /// oversize frames ride TCP ([`ShmTuning`] carries both knobs).
+    /// oversize frames ride TCP.
     Shm(ShmTuning),
 }
 
@@ -145,24 +148,45 @@ impl Default for TransportKind {
 }
 
 impl TransportKind {
-    /// Build the transport for `localities` localities.
+    /// Build the transport for `localities` localities, all hosted by
+    /// this process.
     ///
     /// # Errors
-    /// Only the TCP backend can fail (socket binding).
+    /// Only the wire backends can fail (socket binding).
     pub fn build(&self, localities: u32) -> std::io::Result<Arc<dyn Transport>> {
         match self {
             TransportKind::Sim(model) => Ok(SimTransport::new(localities, *model)),
-            TransportKind::TcpLoopback => Ok(TcpTransport::new(localities)?),
-            TransportKind::TcpTuned(tuning) => Ok(TcpTransport::with_tuning(localities, *tuning)?),
-            TransportKind::Shm(tuning) => Ok(TcpTransport::with_tuning_shm(localities, *tuning)?),
+            wire => wire.build_over(TcpBootstrap::in_process(localities)?),
         }
+    }
+
+    /// Build a wire transport over a completed boot handshake (the
+    /// multi-process path: `bootstrap` names every rank and holds the
+    /// listeners of the ranks hosted here).
+    ///
+    /// # Errors
+    /// `InvalidInput` for [`TransportKind::Sim`], which has no wire to
+    /// boot over; otherwise whatever [`TcpTransport::from_bootstrap`]
+    /// reports.
+    pub fn build_over(&self, bootstrap: TcpBootstrap) -> std::io::Result<Arc<dyn Transport>> {
+        let shm = match self {
+            TransportKind::Sim(_) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "the simulated fabric has no wire to boot over",
+                ))
+            }
+            TransportKind::TcpLoopback => None,
+            TransportKind::Shm(tuning) => Some(*tuning),
+        };
+        Ok(TcpTransport::from_bootstrap(bootstrap, shm)?)
     }
 
     /// The link cost model, if this is the simulated backend.
     pub fn link_model(&self) -> Option<LinkModel> {
         match self {
             TransportKind::Sim(model) => Some(*model),
-            TransportKind::TcpLoopback | TransportKind::TcpTuned(_) | TransportKind::Shm(_) => None,
+            TransportKind::TcpLoopback | TransportKind::Shm(_) => None,
         }
     }
 }
@@ -181,12 +205,6 @@ mod tests {
         assert_eq!(tcp.localities(), 2);
         assert_eq!(tcp.port(0).locality(), 0);
 
-        let tuned = TransportKind::TcpTuned(TcpTuning { pump_threads: 2 })
-            .build(2)
-            .unwrap();
-        assert_eq!(tuned.localities(), 2);
-        assert_eq!(tuned.port(1).locality(), 1);
-
         let shm = TransportKind::Shm(ShmTuning::default()).build(2).unwrap();
         assert_eq!(shm.localities(), 2);
         assert_eq!(shm.port(0).locality(), 0);
@@ -199,10 +217,6 @@ mod tests {
             Some(LinkModel::zero())
         );
         assert_eq!(TransportKind::TcpLoopback.link_model(), None);
-        assert_eq!(
-            TransportKind::TcpTuned(TcpTuning::default()).link_model(),
-            None
-        );
         assert_eq!(TransportKind::Shm(ShmTuning::default()).link_model(), None);
         assert_eq!(
             TransportKind::default().link_model(),

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use rpx_net::{
     FaultPlan, Message, MessageKind, ReliabilityConfig, ReliablePort, ShmTuning, TcpBootstrap,
-    TcpTransport, TcpTuning, TransportPort,
+    TcpTransport, Transport, TransportPort,
 };
 
 const RING_BYTES: usize = 1024;
@@ -38,12 +38,9 @@ fn split_pair(ring_bytes: usize) -> (Arc<TcpTransport>, Arc<TcpTransport>) {
     let h1 = std::thread::spawn(move || {
         TcpBootstrap::rendezvous(1, 2, rdv, Duration::from_secs(5)).unwrap()
     });
-    let tuning = ShmTuning {
-        tcp: TcpTuning::default(),
-        ring_bytes,
-    };
-    let t0 = TcpTransport::from_bootstrap_shm(h0.join().unwrap(), tuning).unwrap();
-    let t1 = TcpTransport::from_bootstrap_shm(h1.join().unwrap(), tuning).unwrap();
+    let tuning = Some(ShmTuning { ring_bytes });
+    let t0 = TcpTransport::from_bootstrap(h0.join().unwrap(), tuning).unwrap();
+    let t1 = TcpTransport::from_bootstrap(h1.join().unwrap(), tuning).unwrap();
     (t0, t1)
 }
 
@@ -80,8 +77,8 @@ fn index_of(m: &Message) -> u32 {
 fn run_bidirectional_stress(plan: &Arc<FaultPlan>) -> (Vec<u64>, Vec<u64>) {
     let (t0, t1) = split_pair(RING_BYTES);
     let cfg = ReliabilityConfig::default();
-    let a = ReliablePort::new(Arc::new(t0.port(0)), cfg);
-    let b = ReliablePort::new(Arc::new(t1.port(1)), cfg);
+    let a = ReliablePort::new(t0.port(0), cfg);
+    let b = ReliablePort::new(t1.port(1), cfg);
     a.set_fault_plan(Some(Arc::clone(plan)));
     b.set_fault_plan(Some(Arc::clone(plan)));
 

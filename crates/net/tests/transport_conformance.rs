@@ -1,8 +1,8 @@
 //! Transport conformance suite: property tests for the wire frame codec
-//! plus a behavioural harness run against **both** backends
-//! ([`SimTransport`] and [`TcpTransport`]), including the fault-injection
-//! (drop + corrupt) paths. Anything that claims to implement
-//! [`rpx_net::TransportPort`] must pass these unchanged.
+//! plus a behavioural harness run against **every** backend (the
+//! simulated fabric, loopback TCP and TCP with shared-memory rings),
+//! including the fault-injection paths. Anything that claims to
+//! implement [`rpx_net::TransportPort`] must pass these unchanged.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -13,9 +13,9 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use rpx_net::{
-    decode_frame, encode_frame, frame_len, FaultPlan, FrameError, LinkModel, Message, MessageKind,
-    ReliabilityConfig, ReliableTransport, ShmTuning, TcpTuning, TransportKind, TransportPort,
-    FRAME_HEADER_LEN, SEQ_OVERHEAD,
+    decode_frame, encode_frame, frame_len, DeliveryClass, FaultPlan, FrameError, LinkModel,
+    Message, MessageKind, ReliabilityConfig, ReliableTransport, ShmTuning, TransportKind,
+    TransportPort, FRAME_HEADER_LEN, SEQ_OVERHEAD,
 };
 
 /// Deterministic pseudo-random payload of `len` bytes (cheap to build
@@ -165,7 +165,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Behavioural conformance harness, run against both backends.
+// Behavioural conformance harness, run against every backend.
 // ---------------------------------------------------------------------
 
 /// The backends under test. Sim uses a zero-cost link so conformance
@@ -180,7 +180,6 @@ fn backends() -> Vec<(&'static str, TransportKind)> {
         (
             "shm",
             TransportKind::Shm(ShmTuning {
-                tcp: TcpTuning::default(),
                 ring_bytes: 64 * 1024,
             }),
         ),
@@ -564,6 +563,201 @@ fn check_reliable_give_up(name: &str, kind: TransportKind) {
     assert_eq!(failures[0].dst, 1, "[{name}]");
     assert_eq!(src.unacked(), 0, "[{name}] abandoned entry must leave");
     assert_eq!(src.outbound_backlog(), 0, "[{name}] no silent hang");
+}
+
+/// A two-locality transport whose port 1 counts what it is handed.
+type CountingPair = (
+    Arc<dyn rpx_net::Transport>,
+    Arc<dyn TransportPort>,
+    Arc<dyn TransportPort>,
+    Arc<std::sync::atomic::AtomicU64>,
+);
+
+fn counting_pair(kind: TransportKind) -> CountingPair {
+    let transport = kind.build(2).expect("build transport");
+    let (src, dst) = (transport.port(0), transport.port(1));
+    let got = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let sink = Arc::clone(&got);
+    dst.set_receiver(Arc::new(move |_| {
+        sink.fetch_add(1, Ordering::SeqCst);
+    }));
+    (transport, src, dst, got)
+}
+
+/// What one backend made of the seeded fault stream: the plan's
+/// tallies, the sender's accounting and what reached the receiver.
+#[derive(Debug, PartialEq, Eq)]
+struct FaultTally {
+    dropped: u64,
+    corrupted: u64,
+    duplicated: u64,
+    delayed: u64,
+    reordered: u64,
+    sent_messages: u64,
+    best_effort_dropped: u64,
+    delivered: u64,
+    decode_failures: u64,
+}
+
+/// One fixed 60-message stream (mixed classes, single and coalesced
+/// payloads) under every fault mode at once. Fault decisions are made
+/// by message count in the shared front end, so every backend must
+/// report the same tallies.
+fn fault_tally(name: &str, kind: TransportKind) -> FaultTally {
+    const N: u64 = 60;
+    let (_transport, src, dst, got) = counting_pair(kind);
+    let mut plan = FaultPlan::chaos();
+    plan.delay_every = Some(7);
+    plan.delay = Duration::from_millis(1);
+    let plan = Arc::new(plan);
+    src.set_fault_plan(Some(Arc::clone(&plan)));
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 1..=N {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let body = payload((rng >> 40) as usize % 64, (rng >> 32) as u8);
+        // Even messages are BestEffort, every fourth is coalesced — so
+        // the three dropped ones (20, 40, 60) are BestEffort batches.
+        let class = if i % 2 == 0 {
+            DeliveryClass::BestEffort
+        } else {
+            DeliveryClass::Lossless
+        };
+        let message = if i % 4 == 0 {
+            // Coalesced payloads lead with their parcel count.
+            let mut batch = vec![2 + (i / 4 % 6) as u8];
+            batch.extend_from_slice(&body);
+            Message::new(0, 1, MessageKind::Coalesced, Bytes::from(batch))
+        } else {
+            Message::new(0, 1, MessageKind::Parcel, body)
+        };
+        src.send(message.with_class(class));
+    }
+    let ports = [Arc::clone(&src), Arc::clone(&dst)];
+    // Every message decided, every survivor (and duplicate) delivered.
+    let settled = || {
+        src.stats().sent_messages.load(Ordering::Relaxed) == N
+            && got.load(Ordering::SeqCst) + plan.dropped() + plan.corrupted()
+                == N + plan.duplicated()
+            && src.outbound_backlog() == 0
+            && dst.inflight_backlog() == 0
+    };
+    assert!(
+        pump_until(&ports, settled, 30),
+        "[{name}] stream never settled: {} delivered",
+        got.load(Ordering::SeqCst)
+    );
+    // Settle: nothing extra may trickle in afterwards.
+    std::thread::sleep(Duration::from_millis(10));
+    pump_all(&ports);
+    FaultTally {
+        dropped: plan.dropped(),
+        corrupted: plan.corrupted(),
+        duplicated: plan.duplicated(),
+        delayed: plan.delayed(),
+        reordered: plan.reordered(),
+        sent_messages: src.stats().sent_messages.load(Ordering::Relaxed),
+        best_effort_dropped: src.stats().best_effort_dropped.load(Ordering::Relaxed),
+        delivered: got.load(Ordering::SeqCst),
+        decode_failures: dst.stats().decode_failures.load(Ordering::Relaxed),
+    }
+}
+
+/// A message parked by Delay or Reorder waits at the *sender*: it is in
+/// the sender's `outbound_backlog` until released and in nobody's
+/// `inflight_backlog` — the gauges quiescence reads.
+fn check_parked_messages_wait_at_the_sender(name: &str, kind: TransportKind) {
+    for plan in [
+        FaultPlan::delay_every(2, Duration::from_millis(5)),
+        FaultPlan::reorder_window(2),
+    ] {
+        let (_transport, src, dst, got) = counting_pair(kind);
+        src.set_fault_plan(Some(Arc::new(plan)));
+        for i in 0..2u8 {
+            src.send(Message::new(0, 1, MessageKind::Parcel, payload(8, i)));
+        }
+        // One send pass: the first message leaves, the second is parked
+        // (parked messages are only released by a later send pass).
+        assert!(src.pump_send(), "[{name}]");
+        assert!(
+            pump_until(
+                std::slice::from_ref(&dst),
+                || got.load(Ordering::SeqCst) == 1 && dst.inflight_backlog() == 0,
+                30
+            ),
+            "[{name}] the unparked message never arrived"
+        );
+        assert_eq!(src.outbound_backlog(), 1, "[{name}] parked at the sender");
+        assert_eq!(src.inflight_backlog(), 0, "[{name}]");
+        assert!(
+            pump_until(
+                &[Arc::clone(&src), Arc::clone(&dst)],
+                || got.load(Ordering::SeqCst) == 2,
+                30
+            ),
+            "[{name}] the parked message was never released"
+        );
+        assert_eq!(src.outbound_backlog(), 0, "[{name}]");
+    }
+}
+
+/// Clearing the fault plan while messages are parked still releases
+/// every one of them.
+fn check_clearing_the_plan_releases_parked_messages(name: &str, kind: TransportKind) {
+    let (_transport, src, dst, got) = counting_pair(kind);
+    // Odd messages are reorder-parked, even ones delay-parked.
+    let mut plan = FaultPlan::delay_every(2, Duration::from_millis(5));
+    plan.reorder_window = Some(1);
+    src.set_fault_plan(Some(Arc::new(plan)));
+    for i in 0..4u8 {
+        src.send(Message::new(0, 1, MessageKind::Parcel, payload(8, i)));
+    }
+    assert!(src.pump_send(), "[{name}]");
+    assert_eq!(src.outbound_backlog(), 4, "[{name}] all four parked");
+    src.set_fault_plan(None);
+    assert!(
+        pump_until(
+            &[Arc::clone(&src), Arc::clone(&dst)],
+            || got.load(Ordering::SeqCst) == 4,
+            30
+        ),
+        "[{name}] {}/4 released after the plan was cleared",
+        got.load(Ordering::SeqCst)
+    );
+    assert_eq!(src.outbound_backlog(), 0, "[{name}]");
+}
+
+#[test]
+fn conformance_fault_tallies_are_identical_on_every_backend() {
+    let tallies: Vec<_> = backends()
+        .into_iter()
+        .map(|(name, kind)| (name, fault_tally(name, kind)))
+        .collect();
+    let (_, reference) = &tallies[0];
+    assert_eq!(reference.dropped, 3);
+    // Drops are booked in parcels: batches of 7, 6 and 5.
+    assert_eq!(reference.best_effort_dropped, 18);
+    assert_eq!(reference.decode_failures, reference.corrupted);
+    assert_eq!(reference.sent_messages, 60);
+    assert!(reference.delayed > 0 && reference.reordered > 0);
+    for (name, tally) in &tallies[1..] {
+        assert_eq!(tally, reference, "[{name}] diverges from sim");
+    }
+}
+
+#[test]
+fn conformance_parked_messages_wait_at_the_sender_every_backend() {
+    for (name, kind) in backends() {
+        check_parked_messages_wait_at_the_sender(name, kind);
+    }
+}
+
+#[test]
+fn conformance_clearing_the_plan_releases_parked_every_backend() {
+    for (name, kind) in backends() {
+        check_clearing_the_plan_releases_parked_messages(name, kind);
+    }
 }
 
 #[test]

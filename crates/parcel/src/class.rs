@@ -289,7 +289,7 @@ mod tests {
     use bytes::Bytes;
     use proptest::prelude::*;
     use rpx_agas::Gid;
-    use rpx_net::{LinkModel, Message, SimTransport, TransportPort};
+    use rpx_net::{LinkModel, Message, SimTransport, Transport};
 
     use crate::action::{ActionId, ActionRegistry};
     use crate::batch::ParcelBatch;
@@ -412,7 +412,7 @@ mod tests {
         let fabric = SimTransport::new(3, LinkModel::zero());
         let port = ParcelPort::with_config(
             0,
-            Arc::new(fabric.port(0)),
+            fabric.port(0),
             Arc::clone(actions),
             ParcelPortConfig {
                 best_effort_backlog: 4,
@@ -437,7 +437,7 @@ mod tests {
         // registry-only registration are port.rs's three class tests.)
         let fabric = SimTransport::new(2, LinkModel::zero());
         let actions = ActionRegistry::new();
-        let port = ParcelPort::new(0, Arc::new(fabric.port(0)), Arc::clone(&actions));
+        let port = ParcelPort::new(0, fabric.port(0), Arc::clone(&actions));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = Arc::clone(&seen);
         let raw = fabric.port(1);
@@ -453,7 +453,7 @@ mod tests {
         }
         while seen.lock().len() < classes.len() {
             port.pump();
-            TransportPort::pump_recv(&raw);
+            raw.pump_recv();
         }
         assert_eq!(*seen.lock(), classes);
     }

@@ -745,7 +745,7 @@ pub fn decode_continuation_args(args: Bytes) -> Result<(Gid, Bytes), WireError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpx_net::{DeliveryClass, LinkModel, SimTransport};
+    use rpx_net::{DeliveryClass, LinkModel, SimTransport, Transport};
     use rpx_serialize::{from_bytes, to_bytes};
     use std::time::{Duration, Instant};
 
@@ -758,8 +758,8 @@ mod tests {
     fn two_ports() -> (Arc<ParcelPort>, Arc<ParcelPort>, Arc<ActionRegistry>) {
         let fabric = SimTransport::new(2, LinkModel::zero());
         let actions = ActionRegistry::new();
-        let p0 = ParcelPort::new(0, Arc::new(fabric.port(0)), Arc::clone(&actions));
-        let p1 = ParcelPort::new(1, Arc::new(fabric.port(1)), Arc::clone(&actions));
+        let p0 = ParcelPort::new(0, fabric.port(0), Arc::clone(&actions));
+        let p1 = ParcelPort::new(1, fabric.port(1), Arc::clone(&actions));
         p0.set_spawner(inline_spawner());
         p1.set_spawner(inline_spawner());
         (p0, p1, actions)
@@ -1134,7 +1134,7 @@ mod tests {
         );
         let p0 = ParcelPort::with_config(
             0,
-            Arc::new(fabric.port(0)),
+            fabric.port(0),
             Arc::clone(&actions),
             ParcelPortConfig {
                 best_effort_backlog: 4,
@@ -1269,7 +1269,7 @@ mod tests {
         let fabric = SimTransport::new(3, LinkModel::zero());
         let p0 = ParcelPort::with_config(
             0,
-            Arc::new(fabric.port(0)),
+            fabric.port(0),
             Arc::clone(actions),
             ParcelPortConfig {
                 backpressure_watermark: Some(watermark),

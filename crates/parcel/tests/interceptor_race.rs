@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rpx_agas::Gid;
-use rpx_net::{LinkModel, SimTransport};
+use rpx_net::{LinkModel, SimTransport, Transport};
 use rpx_parcel::{ActionId, ActionRegistry, Parcel, ParcelInterceptor, ParcelPort, TaskSpawner};
 use rpx_serialize::{from_bytes, to_bytes};
 
@@ -74,9 +74,9 @@ fn interceptor_churn_never_loses_or_duplicates_parcels() {
         )
     };
 
-    let p0 = ParcelPort::new(0, Arc::new(fabric.port(0)), Arc::clone(&actions));
-    let p1 = ParcelPort::new(1, Arc::new(fabric.port(1)), Arc::clone(&actions));
-    let p2 = ParcelPort::new(2, Arc::new(fabric.port(2)), Arc::clone(&actions));
+    let p0 = ParcelPort::new(0, fabric.port(0), Arc::clone(&actions));
+    let p1 = ParcelPort::new(1, fabric.port(1), Arc::clone(&actions));
+    let p2 = ParcelPort::new(2, fabric.port(2), Arc::clone(&actions));
     for p in [&p0, &p1, &p2] {
         p.set_spawner(inline_spawner());
     }

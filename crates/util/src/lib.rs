@@ -32,7 +32,7 @@
 //!   [`park_until`]).
 //! * [`poll`] — the readiness [`Poller`] (epoll shim on Linux, portable
 //!   fallback elsewhere) and vectored-read helpers behind the
-//!   event-driven TCP transport's pump threads.
+//!   event-driven TCP transport's pump thread.
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,7 @@
 //! Readiness polling for the event-driven TCP transport.
 //!
-//! The transport's pump threads multiplex every socket through one
-//! [`Poller`] per thread instead of parking one OS thread per
-//! connection. On Linux the poller is a hand-rolled shim over the
+//! The transport's pump thread multiplexes every socket through one
+//! [`Poller`] instead of parking one OS thread per connection. On Linux the poller is a hand-rolled shim over the
 //! kernel's `epoll` interface (declared directly against the C library
 //! the binary already links — no external crate); everywhere else a
 //! portable sleep-poll fallback reports every registered descriptor as

@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use rpx::{
-    CounterValue, DeliveryClass, ReliabilityConfig, Runtime, RuntimeConfig, ShmTuning,
-    TransportKind,
+    CoalescingParams, CounterValue, DeliveryClass, ReliabilityConfig, Runtime, RuntimeConfig,
+    ShmTuning, TransportKind,
 };
 use rpx_net::FaultPlan;
 
@@ -149,6 +149,54 @@ fn best_effort_is_at_most_once_and_accounts_for_the_gap() {
             int_counter(&rt, 1, "/network/retransmits") == 0
                 || int_counter(&rt, 0, "/network/retransmits") == 0,
             "[{name}] best-effort frames were retransmitted"
+        );
+        rt.shutdown();
+    }
+}
+
+/// `/network/best-effort-dropped` counts parcels at every shed site: a
+/// wire drop of a coalesced BestEffort message books every parcel the
+/// message carried, not one.
+#[test]
+fn best_effort_wire_drop_of_a_coalesced_message_books_its_parcels() {
+    const SENT: u64 = 240;
+    for (name, kind) in backends() {
+        let rt = Runtime::new(config(kind, true));
+        let hits = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hits);
+        let act = rt
+            .action("dc::be-batched")
+            .delivery(DeliveryClass::BestEffort)
+            .register(move |(): ()| {
+                h.fetch_add(1, Ordering::SeqCst);
+            });
+        let control = rt
+            .enable_coalescing(
+                "dc::be-batched",
+                CoalescingParams::new(4, Duration::from_millis(2)),
+            )
+            .unwrap();
+        rt.inject_faults(0, Some(Arc::new(FaultPlan::drop_every(3))));
+        rt.run_on(0, move |ctx| {
+            for _ in 0..SENT {
+                ctx.apply(&act, 1, ());
+            }
+        });
+        // A partial batch waiting for its flush timer is outside the
+        // quiescence gauges; disabling flushes it.
+        rt.disable_coalescing(&control);
+        assert!(
+            rt.wait_quiescent(Duration::from_secs(30)),
+            "[{name}] batched best-effort traffic stalled quiescence"
+        );
+        let delivered = hits.load(Ordering::SeqCst);
+        let dropped = (int_counter(&rt, 0, "/network/best-effort-dropped")
+            + int_counter(&rt, 1, "/network/best-effort-dropped")) as u64;
+        assert!(delivered < SENT, "[{name}] the wire never dropped a batch");
+        assert_eq!(
+            delivered + dropped,
+            SENT,
+            "[{name}] accounting gap: {delivered} delivered + {dropped} dropped"
         );
         rt.shutdown();
     }
