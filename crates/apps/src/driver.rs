@@ -1,17 +1,99 @@
-//! The sweep harness: run an application across a grid of coalescing
-//! parameters, fresh runtime per point, and collect the
+//! What the paper drivers share — the per-rank outcome and its `/app/*`
+//! parity counters, the fan-out that runs one driver task per hosted
+//! locality — and the sweep harness: run an application across a grid of
+//! coalescing parameters, fresh runtime per point, and collect the
 //! (time, overhead) measurements behind every figure of the paper.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use rpx::{
-    CoalescingParams, LinkModel, Runtime, RuntimeConfig, TelemetryConfig, TimeSeries, TransportKind,
+    CoalescingParams, Complex64, CounterValue, Ctx, LinkModel, Runtime, RuntimeConfig,
+    TelemetryConfig, TimeSeries, TransportKind,
 };
 use rpx_metrics::SweepPoint;
 
 use crate::parquet::{run_parquet, ParquetConfig, ParquetReport};
-use crate::toy::{run_toy, run_toy_sampled, ToyConfig, ToyReport};
+use crate::toy::{run_toy, ToyConfig, ToyReport};
+
+/// Budget for each control-plane exchange a driver makes (registration
+/// verify, per-phase barrier).
+pub(crate) const CONTROL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Deterministic outcome of one locality's driver: identical in every
+/// deployment mode (all-in-one Sim / TCP / shm, or one rank per process)
+/// by construction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankStats {
+    /// The locality.
+    pub rank: u32,
+    /// Parcels this locality sent.
+    pub parcels_sent: u64,
+    /// Checksum of the results this locality received, accumulated in
+    /// send order (bit-for-bit reproducible).
+    pub checksum: Complex64,
+}
+
+/// One zeroed [`RankStats`] per locality hosted by this process.
+pub(crate) fn hosted_stats(rt: &Runtime) -> Vec<RankStats> {
+    rt.hosted_localities()
+        .into_iter()
+        .map(|rank| RankStats {
+            rank,
+            parcels_sent: 0,
+            checksum: Complex64::ZERO,
+        })
+        .collect()
+}
+
+/// Publish each hosted locality's outcome as `/app/parcels-sent`,
+/// `/app/checksum-re` and `/app/checksum-im`, so they travel inside
+/// [`Runtime::dump_counters_json`] files and the parity suite can compare
+/// dumps across deployment modes.
+pub(crate) fn publish(rt: &Runtime, stats: &[RankStats]) {
+    for s in stats {
+        let registry = rt.locality(s.rank).counters();
+        let values = [
+            (
+                "/app/parcels-sent",
+                CounterValue::Int(s.parcels_sent as i64),
+            ),
+            ("/app/checksum-re", CounterValue::Float(s.checksum.re)),
+            ("/app/checksum-im", CounterValue::Float(s.checksum.im)),
+        ];
+        for (path, value) in values {
+            registry.register_or_replace(
+                path,
+                rpx_counters::CallbackCounter::new(move || value.clone()),
+            );
+        }
+    }
+}
+
+/// Run `f` as a driver task on every locality in `ids` at once and
+/// return the results in `ids` order.
+pub(crate) fn drive<R: Send + 'static>(
+    rt: &Arc<Runtime>,
+    ids: &[u32],
+    f: impl Fn(&Ctx) -> R + Send + Sync + 'static,
+) -> Vec<R> {
+    let f = Arc::new(f);
+    let (tx, rx) = mpsc::channel();
+    for (slot, &id) in ids.iter().enumerate() {
+        let (tx, f) = (tx.clone(), Arc::clone(&f));
+        rt.spawn_on(id, move |ctx| {
+            let _ = tx.send((slot, f(ctx)));
+        });
+    }
+    drop(tx);
+    let mut out: Vec<Option<R>> = ids.iter().map(|_| None).collect();
+    for (slot, r) in rx {
+        out[slot] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("driver task panicked"))
+        .collect()
+}
 
 /// A sweep measurement: the configuration plus the full application
 /// report.
@@ -23,6 +105,9 @@ pub enum SweepOutcome {
         params: CoalescingParams,
         /// The application report.
         report: ToyReport,
+        /// The instantaneous network-overhead series (Eq. 4 per sampling
+        /// window) when the sweep ran with telemetry.
+        sampled: Option<TimeSeries>,
     },
     /// A Parquet-proxy outcome.
     Parquet {
@@ -34,14 +119,23 @@ pub enum SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Reduce to the scatter-plot point used by Figs. 4 and 7.
+    /// Reduce to the scatter-plot point used by Figs. 4 and 7. A sampled
+    /// toy point takes its overhead from the mean of the sampled series
+    /// instead of the end-of-phase counter deltas.
     pub fn to_point(&self) -> SweepPoint {
         match self {
-            SweepOutcome::Toy { params, report } => SweepPoint {
+            SweepOutcome::Toy {
+                params,
+                report,
+                sampled,
+            } => SweepPoint {
                 nparcels: params.nparcels,
                 interval_us: params.interval.as_micros() as u64,
                 time_secs: report.mean_phase_secs(),
-                network_overhead: report.mean_overhead(),
+                network_overhead: sampled
+                    .as_ref()
+                    .and_then(TimeSeries::mean)
+                    .unwrap_or_else(|| report.mean_overhead()),
             },
             SweepOutcome::Parquet { params, report } => SweepPoint {
                 nparcels: params.nparcels,
@@ -60,13 +154,8 @@ impl SweepOutcome {
     }
 }
 
-/// The runtime configuration used by sweep runs (simulated fabric).
-pub fn sweep_runtime_config(localities: u32, link: LinkModel) -> RuntimeConfig {
-    sweep_runtime_config_on(localities, TransportKind::Sim(link))
-}
-
-/// The sweep runtime configuration on an explicit transport backend.
-pub fn sweep_runtime_config_on(localities: u32, transport: TransportKind) -> RuntimeConfig {
+/// The runtime configuration used by sweep runs.
+pub fn sweep_runtime_config(localities: u32, transport: TransportKind) -> RuntimeConfig {
     RuntimeConfig {
         localities,
         workers_per_locality: 2,
@@ -75,15 +164,20 @@ pub fn sweep_runtime_config_on(localities: u32, transport: TransportKind) -> Run
     }
 }
 
-/// Run the toy application once per `(nparcels, interval)` grid point.
+/// Run the toy application once per `(nparcels, interval)` grid point on
+/// the simulated fabric.
 ///
 /// A fresh runtime is booted per point, mirroring the paper's independent
-/// job launches per parameter set.
+/// job launches per parameter set. With `telemetry`, each runtime samples
+/// locality 0's counters during the run and the outcome carries the
+/// instantaneous overhead series, so figure-level correlations can be
+/// recomputed from sampled measurements.
 pub fn toy_sweep(
     base: &ToyConfig,
     link: LinkModel,
     nparcels_grid: &[usize],
     interval_us_grid: &[u64],
+    telemetry: Option<&TelemetryConfig>,
 ) -> Vec<SweepOutcome> {
     let mut out = Vec::with_capacity(nparcels_grid.len() * interval_us_grid.len());
     for &interval_us in interval_us_grid {
@@ -91,67 +185,18 @@ pub fn toy_sweep(
             let params = CoalescingParams::new(nparcels, Duration::from_micros(interval_us));
             let mut config = base.clone();
             config.coalescing = Some(params);
-            let rt = Runtime::new(sweep_runtime_config(2, link));
+            let rt = boot(2, TransportKind::Sim(link));
+            let service = telemetry.map(|t| {
+                rt.start_telemetry(0, t.clone())
+                    .expect("locality 0 always exists")
+            });
             let report = run_toy(&rt, &config).expect("toy sweep run failed");
             rt.shutdown();
-            out.push(SweepOutcome::Toy { params, report });
-        }
-    }
-    out
-}
-
-/// One grid point of a telemetry-sampled toy sweep.
-#[derive(Debug, Clone)]
-pub struct SampledOutcome {
-    /// The sweep measurement (params + report), as in [`toy_sweep`].
-    pub outcome: SweepOutcome,
-    /// The derived instantaneous network-overhead series (Eq. 4 per
-    /// sampling window) recorded during the run.
-    pub overhead_series: TimeSeries,
-    /// Every sampled series of the run, for export.
-    pub all_series: Vec<TimeSeries>,
-}
-
-impl SampledOutcome {
-    /// The scatter point with the overhead replaced by the *sampled*
-    /// series mean — the recomputed Fig. 7 correlation input.
-    pub fn to_sampled_point(&self) -> SweepPoint {
-        let mut p = self.outcome.to_point();
-        if let Some(mean) = self.overhead_series.mean() {
-            p.network_overhead = mean;
-        }
-        p
-    }
-}
-
-/// [`toy_sweep`] with a 1 ms-class counter sampler running during every
-/// grid point: each fresh runtime starts telemetry on locality 0, and the
-/// per-point outcome carries the sampled series, so figure-level
-/// correlations (Figs. 7–9) can be recomputed from the *instantaneous*
-/// measurements instead of end-of-phase counter deltas.
-pub fn toy_sweep_sampled(
-    base: &ToyConfig,
-    link: LinkModel,
-    nparcels_grid: &[usize],
-    interval_us_grid: &[u64],
-    telemetry: &TelemetryConfig,
-) -> Vec<SampledOutcome> {
-    let mut out = Vec::with_capacity(nparcels_grid.len() * interval_us_grid.len());
-    for &interval_us in interval_us_grid {
-        for &nparcels in nparcels_grid {
-            let params = CoalescingParams::new(nparcels, Duration::from_micros(interval_us));
-            let mut config = base.clone();
-            config.coalescing = Some(params);
-            let rt = Runtime::new(sweep_runtime_config(2, link));
-            let (report, service) =
-                run_toy_sampled(&rt, &config, telemetry.clone()).expect("sampled toy run failed");
-            let overhead_series = service.overhead_series();
-            let all_series = service.all_series();
-            rt.shutdown();
-            out.push(SampledOutcome {
-                outcome: SweepOutcome::Toy { params, report },
-                overhead_series,
-                all_series,
+            let sampled = service.map(|s| s.overhead_series());
+            out.push(SweepOutcome::Toy {
+                params,
+                report,
+                sampled,
             });
         }
     }
@@ -172,7 +217,7 @@ pub fn parquet_sweep(
             let params = CoalescingParams::new(nparcels, Duration::from_micros(interval_us));
             let mut config = base.clone();
             config.coalescing = Some(params);
-            let rt = Runtime::new(sweep_runtime_config(localities, link));
+            let rt = boot(localities, TransportKind::Sim(link));
             let report = run_parquet(&rt, &config).expect("parquet sweep run failed");
             rt.shutdown();
             out.push(SweepOutcome::Parquet { params, report });
@@ -191,7 +236,7 @@ pub fn parquet_repeats(
 ) -> Vec<f64> {
     (0..repeats)
         .map(|_| {
-            let rt = Runtime::new(sweep_runtime_config(localities, link));
+            let rt = boot(localities, TransportKind::Sim(link));
             let report = run_parquet(&rt, config).expect("parquet repeat failed");
             rt.shutdown();
             report.mean_iteration_secs()
@@ -216,15 +261,10 @@ pub fn to_points(outcomes: &[SweepOutcome]) -> Vec<SweepPoint> {
     outcomes.iter().map(SweepOutcome::to_point).collect()
 }
 
-/// Convenience: the shared `Arc<Runtime>` boot used by examples.
-pub fn boot(localities: u32, link: LinkModel) -> Arc<Runtime> {
-    Runtime::new(sweep_runtime_config(localities, link))
-}
-
-/// Boot on an explicit transport backend — `boot` with the builder knob
-/// exposed (e.g. [`TransportKind::TcpLoopback`]).
-pub fn boot_on(localities: u32, transport: TransportKind) -> Arc<Runtime> {
-    Runtime::new(sweep_runtime_config_on(localities, transport))
+/// Boot a runtime with the sweep configuration on `transport` (e.g.
+/// `TransportKind::Sim(link)` or [`TransportKind::TcpLoopback`]).
+pub fn boot(localities: u32, transport: TransportKind) -> Arc<Runtime> {
+    Runtime::new(sweep_runtime_config(localities, transport))
 }
 
 #[cfg(test)]
@@ -243,7 +283,7 @@ mod tests {
 
     #[test]
     fn toy_sweep_covers_grid() {
-        let outcomes = toy_sweep(&tiny_toy(), fast_link(), &[1, 8], &[1000, 4000]);
+        let outcomes = toy_sweep(&tiny_toy(), fast_link(), &[1, 8], &[1000, 4000], None);
         assert_eq!(outcomes.len(), 4);
         let points = to_points(&outcomes);
         let configs: Vec<(usize, u64)> =
@@ -256,7 +296,7 @@ mod tests {
 
     #[test]
     fn coalescing_reduces_messages_in_sweep() {
-        let outcomes = toy_sweep(&tiny_toy(), fast_link(), &[1, 16], &[4000]);
+        let outcomes = toy_sweep(&tiny_toy(), fast_link(), &[1, 16], &[4000], None);
         let msgs: Vec<u64> = outcomes
             .iter()
             .map(|o| match o {
@@ -279,20 +319,24 @@ mod tests {
             interval: Duration::from_millis(1),
             ..TelemetryConfig::default()
         };
-        let outcomes = toy_sweep_sampled(&tiny_toy(), fast_link(), &[1, 16], &[2000], &telemetry);
+        // Long enough for several 1 ms sampling windows per grid point.
+        let base = ToyConfig {
+            numparcels: 600,
+            ..tiny_toy()
+        };
+        let outcomes = toy_sweep(&base, fast_link(), &[1, 16], &[2000], Some(&telemetry));
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
+            let SweepOutcome::Toy { sampled, .. } = o else {
+                unreachable!()
+            };
+            let series = sampled.as_ref().expect("telemetry was on");
             assert!(
-                !o.all_series.is_empty(),
-                "sampler recorded nothing for {:?}",
-                o.outcome.params()
-            );
-            assert!(
-                !o.overhead_series.is_empty(),
+                !series.is_empty(),
                 "no derived overhead samples for {:?}",
-                o.outcome.params()
+                o.params()
             );
-            let p = o.to_sampled_point();
+            let p = o.to_point();
             assert!(p.time_secs > 0.0);
             assert!((0.0..=1.0).contains(&p.network_overhead));
         }

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation workloads, ported to RPX:
 //!
-//! * [`toy`] — the **toy application** of Listing 1: two localities
+//! * [`toy`] — the **toy application** of Listing 1: localities
 //!   exchange large numbers of single-`complex<double>` active messages
 //!   with no inter-message dependencies, in phases (`num_repeats = 4`).
 //!   It is the paper's stress test for per-message overhead and drives
@@ -23,15 +23,23 @@
 //! * [`workloads`] — parameterised arrival-pattern generators (uniform,
 //!   bursty, sparse) used by the adaptive-controller evaluation and the
 //!   sparse-bypass ablation.
-//! * [`driver`] — the sweep harness running an application across a grid
-//!   of `(nparcels, interval)` configurations and collecting
-//!   time-vs-overhead points, the raw material of every figure.
+//! * [`driver`] — what every driver shares (the per-rank outcome and its
+//!   `/app/*` parity counters) and the sweep harness running an
+//!   application across a grid of `(nparcels, interval)` configurations
+//!   and collecting time-vs-overhead points, the raw material of every
+//!   figure.
+//!
+//! There is one driver per workload. [`toy::run_toy`],
+//! [`parquet::run_parquet`] and [`service::run_service`] drive every
+//! locality the runtime hosts, so the same call draws the figures
+//! all-in-one and runs as one rank of a multi-process cluster under
+//! `repro launch`, where the parity suite compares their deterministic
+//! outcomes bit for bit.
 
 #![warn(missing_docs)]
 
 pub mod alltoall;
 pub mod driver;
-pub mod multiproc;
 pub mod parquet;
 pub mod service;
 pub mod statesync;
@@ -39,15 +47,10 @@ pub mod toy;
 pub mod workloads;
 
 pub use alltoall::{run_alltoall, AllToAllConfig, AllToAllReport};
-pub use driver::{parquet_sweep, toy_sweep, toy_sweep_sampled, SampledOutcome, SweepOutcome};
-pub use multiproc::{
-    run_parquet_rank, run_toy_rank, MultiprocParquetConfig, MultiprocReport, MultiprocToyConfig,
-    RankStats,
-};
+pub use driver::{parquet_sweep, toy_sweep, RankStats, SweepOutcome};
 pub use parquet::{ParquetConfig, ParquetReport};
 pub use service::{
-    run_service, run_service_rank, DestReport, ParamSample, ServiceConfig, ServiceRankReport,
-    ServiceReport, ZipfSampler,
+    run_service, DestReport, ParamSample, ServiceConfig, ServiceReport, ZipfSampler,
 };
 pub use statesync::{
     run_statesync, run_statesync_pair, StateSyncConfig, StateSyncPair, StateSyncReport,

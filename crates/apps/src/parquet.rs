@@ -14,15 +14,18 @@
 //! * a stand-in tensor-contraction kernel models the compute between
 //!   rotations,
 //! * an iteration barrier synchronises localities (the self-consistency
-//!   loop's structure).
+//!   loop's structure): every hosted locality's driver returns, then
+//!   [`Runtime::barrier`] meets the other ranks (a no-op all-in-one).
 //!
 //! The paper runs `Nc = 512` on four nodes; the proxy defaults to a
 //! laptop-scale `Nc` with identical structure.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use rpx::{Barrier, CoalescingParams, Complex64, PhaseRecorder, Runtime, RuntimeError};
+use rpx::{CoalescingParams, Complex64, PhaseRecorder, Runtime, RuntimeError};
+
+use crate::driver::{drive, hosted_stats, publish, RankStats, CONTROL_TIMEOUT};
 
 /// Configuration of a Parquet-proxy run.
 #[derive(Debug, Clone)]
@@ -67,9 +70,10 @@ impl ParquetConfig {
 pub struct ParquetIteration {
     /// Iteration index.
     pub iteration: usize,
-    /// Wall time of the iteration (driver on locality 0).
+    /// Wall time of the iteration, barrier included.
     pub wall: Duration,
-    /// Instantaneous network overhead over the iteration (locality 0).
+    /// Instantaneous network overhead over the iteration (lowest hosted
+    /// locality).
     pub network_overhead: f64,
 }
 
@@ -80,12 +84,16 @@ pub struct ParquetReport {
     pub iterations: Vec<ParquetIteration>,
     /// Total wall time.
     pub total: Duration,
-    /// Parcels counted by locality 0's coalescer (0 without coalescing).
+    /// Parcels counted by the lowest hosted locality's coalescer (0
+    /// without coalescing).
     pub parcels_counted: u64,
-    /// Messages counted by locality 0's coalescer.
+    /// Messages counted by the same coalescer.
     pub messages_counted: u64,
-    /// Checksum of received tensor data (validates delivery).
-    pub checksum: f64,
+    /// Deterministic outcome of every hosted locality, in id order: the
+    /// checksum's real part sums the received acknowledgements (validates
+    /// delivery), and is published with the parcel count as `/app/*`
+    /// counters.
+    pub per_rank: Vec<RankStats>,
 }
 
 impl ParquetReport {
@@ -120,7 +128,7 @@ pub const ROTATE_ACTION: &str = "parquet::rotate";
 /// The stand-in contraction kernel: real complex arithmetic for
 /// `duration` on a locality's tensor slice.
 fn contraction_kernel(nc: usize, duration: Duration) -> Complex64 {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut acc = Complex64::new(1.0, 0.5);
     let step = Complex64::new(0.999_9, 1e-4);
     let mut i = 0usize;
@@ -134,18 +142,16 @@ fn contraction_kernel(nc: usize, duration: Duration) -> Complex64 {
     acc
 }
 
-/// Run the Parquet proxy on `rt`.
+/// Run the Parquet proxy on `rt`, driving every locality this process
+/// hosts (all of them all-in-one, one rank per process otherwise).
 ///
 /// Registers `parquet::rotate`; use a fresh runtime per configuration.
 pub fn run_parquet(
     rt: &Arc<Runtime>,
     config: &ParquetConfig,
 ) -> Result<ParquetReport, RuntimeError> {
-    let localities = rt.num_localities();
-    assert!(
-        localities >= 2,
-        "parquet proxy needs at least two localities"
-    );
+    let n = rt.num_localities();
+    assert!(n >= 2, "parquet proxy needs at least two localities");
     let nc = config.nc;
 
     // The rotation action: receive a row of Nc complex doubles and fold
@@ -161,84 +167,54 @@ pub fn run_parquet(
             }
             sum.re
         });
-    let control = match &config.coalescing {
-        Some(params) => Some(rt.enable_coalescing(ROTATE_ACTION, *params)?),
-        None => None,
-    };
+    rt.verify_registration(CONTROL_TIMEOUT)?;
+    let control = config
+        .coalescing
+        .map(|params| rt.enable_coalescing(ROTATE_ACTION, params))
+        .transpose()?;
 
-    let barrier = Arc::new(Barrier::new(localities as usize));
-    let parcels_per_locality = config.parcels_per_locality(localities);
-    let iterations = config.iterations;
+    let mut stats = hosted_stats(rt);
+    let hosted: Vec<u32> = stats.iter().map(|s| s.rank).collect();
+    let count = config.parcels_per_locality(n);
     let compute = config.compute_per_iteration;
-
-    // Peer drivers (localities 1..L).
-    let mut peer_threads = Vec::new();
-    for loc in 1..localities {
-        let rt2 = Arc::clone(rt);
+    let mut recorder = PhaseRecorder::new(rt.metrics(hosted[0]));
+    let mut iterations = Vec::with_capacity(config.iterations);
+    let start = Instant::now();
+    for iteration in 0..config.iterations {
+        recorder.start_phase(format!("iteration-{iteration}"));
         let action = action.clone();
-        let barrier = Arc::clone(&barrier);
-        peer_threads.push(std::thread::spawn(move || {
-            rt2.run_on(loc, move |ctx| {
-                let mut checksum = 0.0f64;
-                for iter in 0..iterations {
-                    checksum += rotation_phase(ctx, &action, nc, parcels_per_locality, iter)?;
-                    contraction_kernel(nc, compute);
-                    barrier.arrive_and_wait_with(|| ctx.pump());
-                }
-                Ok::<f64, RuntimeError>(checksum)
-            })
-        }));
-    }
-
-    // Locality-0 driver measures each iteration.
-    let mut recorder = PhaseRecorder::new(rt.metrics(0));
-    let total_start = std::time::Instant::now();
-    let mut iteration_results = Vec::with_capacity(iterations);
-    let mut checksum = 0.0f64;
-    for iter in 0..iterations {
-        recorder.start_phase(format!("iteration-{iter}"));
-        let rt2 = Arc::clone(rt);
-        let action2 = action.clone();
-        let barrier2 = Arc::clone(&barrier);
-        let partial = rt2.run_on(0, move |ctx| {
-            let sum = rotation_phase(ctx, &action2, nc, parcels_per_locality, iter)?;
+        let partials = drive(rt, &hosted, move |ctx| {
+            let sum = rotation_phase(ctx, &action, nc, count, iteration)?;
             contraction_kernel(nc, compute);
-            barrier2.arrive_and_wait_with(|| ctx.pump());
             Ok::<f64, RuntimeError>(sum)
-        })?;
+        });
+        for (s, partial) in stats.iter_mut().zip(partials) {
+            s.checksum += Complex64::new(partial?, 0.0);
+            s.parcels_sent += count as u64;
+        }
+        rt.barrier(CONTROL_TIMEOUT)?;
         let record = recorder.end_phase();
-        checksum += partial;
-        iteration_results.push(ParquetIteration {
-            iteration: iter,
+        iterations.push(ParquetIteration {
+            iteration,
             wall: record.wall,
             network_overhead: record.network_overhead(),
         });
     }
-    for t in peer_threads {
-        checksum += t.join().expect("peer driver panicked")?;
-    }
 
-    let (parcels, messages) = match &control {
-        Some(c) => {
-            let counters = c.counters(0).expect("locality 0");
-            (counters.parcels.get(), counters.messages.get())
-        }
-        None => (0, 0),
-    };
-
+    let counted = control.as_ref().and_then(|c| c.counters(hosted[0]));
+    publish(rt, &stats);
     Ok(ParquetReport {
-        iterations: iteration_results,
-        total: total_start.elapsed(),
-        parcels_counted: parcels,
-        messages_counted: messages,
-        checksum,
+        iterations,
+        total: start.elapsed(),
+        parcels_counted: counted.map_or(0, |c| c.parcels.get()),
+        messages_counted: counted.map_or(0, |c| c.messages.get()),
+        per_rank: stats,
     })
 }
 
 /// One locality's rotation phase: send `count` parcels of `nc` complex
 /// doubles round-robin to the peers; wait for all acknowledgements.
-/// Shared with the rank-aware driver in [`crate::multiproc`].
-pub(crate) fn rotation_phase(
+fn rotation_phase(
     ctx: &rpx::Ctx,
     action: &rpx::ActionHandle<Vec<Complex64>, f64>,
     nc: usize,
@@ -263,7 +239,7 @@ pub(crate) fn rotation_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpx::RuntimeConfig;
+    use rpx::{CounterValue, RuntimeConfig};
 
     fn tiny() -> ParquetConfig {
         ParquetConfig {
@@ -291,7 +267,26 @@ mod tests {
         let expected = (cfg.parcels_per_locality(2) * cfg.iterations) as u64;
         assert_eq!(report.parcels_counted, expected);
         assert!(report.messages_counted <= report.parcels_counted);
-        assert!(report.checksum.is_finite());
+        assert!(report.per_rank.iter().all(|s| s.checksum.re.is_finite()));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn publishes_its_checksum_counters_all_in_one() {
+        let rt = Runtime::new(RuntimeConfig::small_test());
+        let report = run_parquet(&rt, &tiny()).unwrap();
+        for s in &report.per_rank {
+            let query = |path| rt.query(s.rank, path).unwrap();
+            assert_eq!(
+                query("/app/parcels-sent"),
+                CounterValue::Int(s.parcels_sent as i64)
+            );
+            assert_eq!(
+                query("/app/checksum-re"),
+                CounterValue::Float(s.checksum.re)
+            );
+            assert_eq!(query("/app/checksum-im"), CounterValue::Float(0.0));
+        }
         rt.shutdown();
     }
 
@@ -301,9 +296,13 @@ mod tests {
             localities: 4,
             ..RuntimeConfig::small_test()
         });
-        let report = run_parquet(&rt, &tiny()).unwrap();
+        let cfg = tiny();
+        let report = run_parquet(&rt, &cfg).unwrap();
         assert_eq!(report.iterations.len(), 2);
         assert!(report.mean_iteration_secs() > 0.0);
+        assert_eq!(report.per_rank.len(), 4);
+        let expected = (cfg.parcels_per_locality(4) * cfg.iterations) as u64;
+        assert!(report.per_rank.iter().all(|s| s.parcels_sent == expected));
         rt.shutdown();
     }
 
@@ -313,11 +312,9 @@ mod tests {
             let rt = Runtime::new(RuntimeConfig::small_test());
             let r = run_parquet(&rt, &tiny()).unwrap();
             rt.shutdown();
-            r.checksum
+            r.per_rank
         };
-        let a = run();
-        let b = run();
-        assert!((a - b).abs() < 1e-6, "checksums differ: {a} vs {b}");
+        assert_eq!(run(), run(), "per-rank outcomes must be reproducible");
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! requests at a scheduled rate (open loop: the schedule never slows
 //! down because the system is behind — missed slots are sent in a
 //! catch-up burst, exactly the regime where per-message overhead and
-//! head-of-line blocking hurt). Each request picks its destination from
-//! a Zipf-skewed distribution, so one locality runs hot while the rest
-//! idle — the traffic shape that makes a single global coalescing
-//! parameter wrong for everybody. The load also swings by
-//! `burst_factor` (default 10×) every `burst_period`, exercising the
-//! controller's phase-change response.
+//! head-of-line blocking hurt) to every other locality. Each request
+//! picks its destination from a Zipf-skewed distribution, so one locality
+//! runs hot while the rest idle — the traffic shape that makes a single
+//! global coalescing parameter wrong for everybody. The load also swings
+//! by `burst_factor` (default 10×) every `burst_period`, exercising the
+//! controller's phase-change response. Alongside the load, a low-rate
+//! closed-loop probe stream times round trips to destination 1 on
+//! locality 0's clock.
 //!
 //! The run reports sustained throughput, p50/p99 latency, exact
 //! per-endpoint-pair accounting (`sent == delivered + shed` for every
@@ -18,6 +20,10 @@
 //! coalescing parameters — the evidence that per-destination control
 //! tracks each destination's local optimum instead of steering one
 //! compromise value.
+//!
+//! [`run_service`] works all-in-one and as one rank of a multi-process
+//! cluster: locality 0, where hosted, drives; every hosted locality
+//! serves and publishes its deliveries as `/app/service-delivered`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,18 +33,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpx::{AdaptiveConfig, CoalescingParams, CounterValue, DeliveryClass, Runtime, RuntimeError};
 
+use crate::driver::CONTROL_TIMEOUT;
+
 /// The request action's name.
 pub const SERVICE_ACTION: &str = "service::req";
 
-/// Configuration of one open-loop service run.
+/// The probe action's name.
+pub const PROBE_ACTION: &str = "service::probe";
+
+/// Configuration of one open-loop service run. Locality 0 is the client;
+/// every other locality of the runtime is a destination.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Client sessions on locality 0. Each contributes `base_rate`
     /// requests/second to the aggregate open-loop schedule.
     pub sessions: usize,
-    /// Server localities (destinations are `1..=destinations`; the
-    /// runtime needs `destinations + 1` localities).
-    pub destinations: u32,
     /// Length of the send phase.
     pub duration: Duration,
     /// Baseline requests/second per session.
@@ -68,7 +77,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             sessions: 8,
-            destinations: 3,
             duration: Duration::from_millis(600),
             base_rate: 1500.0,
             burst_factor: 10.0,
@@ -118,38 +126,52 @@ pub struct DestReport {
     pub final_nparcels: usize,
 }
 
-/// The outcome of one open-loop service run.
-#[derive(Debug, Clone)]
+/// The outcome of one open-loop service run, as observed by this
+/// process. What it cannot observe is left empty (zero), never
+/// approximated: across processes the client sees no deliveries and no
+/// one-way latency (two clocks), a server sees no schedule.
+#[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
-    /// Requests issued by the open-loop schedule.
+    /// Requests issued by the open-loop schedule (client only).
     pub sent: u64,
-    /// Requests delivered (handler executed on the destination).
+    /// Requests delivered on localities hosted by this process.
     pub delivered: u64,
-    /// Requests shed at submit time across all destinations.
+    /// Requests shed at submit time across all destinations (client
+    /// only).
     pub shed: u64,
-    /// Delivered requests per second of send-phase wall time.
+    /// Delivered requests per second of send-phase wall time (client
+    /// only).
     pub throughput: f64,
-    /// Median request latency in microseconds.
+    /// Median one-way request latency in microseconds (requests both
+    /// sent and delivered in this process).
     pub p50_us: f64,
-    /// 99th-percentile request latency in microseconds.
+    /// 99th-percentile one-way request latency in microseconds.
     pub p99_us: f64,
-    /// `/network/backpressure-events` observed on locality 0.
-    pub backpressure_events: i64,
-    /// Nanoseconds submitters spent blocked at the watermark.
-    pub backpressure_blocked_ns: i64,
-    /// Per-destination breakdown, ordered by destination id.
+    /// p99 round-trip time (µs) of the closed-loop probe stream. Timed
+    /// on one clock, it stays meaningful across process boundaries.
+    pub probe_p99_us: f64,
+    /// Probe round trips completed.
+    pub probes: u64,
+    /// `/network/backpressure-events` on the lowest hosted locality's
+    /// port (admission control happens on the sender).
+    pub backpressure_events: u64,
+    /// Nanoseconds submitters there spent blocked at the watermark.
+    pub backpressure_blocked_ns: u64,
+    /// Per-destination breakdown for the destinations hosted alongside
+    /// the client, ordered by destination id.
     pub per_dest: Vec<DestReport>,
-    /// Sampled per-destination parameter series.
+    /// Sampled per-destination parameter series (client only).
     pub series: Vec<ParamSample>,
     /// Steering decisions made by the per-destination controller.
     pub decisions: Vec<rpx::DestDecision>,
-    /// Send-phase wall time.
+    /// Send-phase wall time (client only).
     pub wall: Duration,
 }
 
 impl ServiceReport {
     /// Exact accounting: every request is either delivered or shed, for
-    /// the aggregate and for every endpoint pair individually.
+    /// the aggregate and for every endpoint pair individually. Only an
+    /// all-in-one run observes both ends.
     pub fn accounting_exact(&self) -> bool {
         self.sent == self.delivered + self.shed
             && self.per_dest.iter().all(|d| d.sent == d.delivered + d.shed)
@@ -186,13 +208,6 @@ impl ZipfSampler {
     }
 }
 
-fn net_counter(rt: &Runtime, path: &str) -> i64 {
-    match rt.query(0, path) {
-        Ok(CounterValue::Int(v)) => v,
-        _ => 0,
-    }
-}
-
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
@@ -201,53 +216,55 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx] as f64 / 1_000.0
 }
 
-/// Run the open-loop service workload on `rt` (needs
-/// `config.destinations + 1` localities; locality 0 is the client).
+/// Run the open-loop service workload on `rt` (at least two localities;
+/// locality 0 is the client, the rest are destinations).
 pub fn run_service(
     rt: &Arc<Runtime>,
     config: &ServiceConfig,
 ) -> Result<ServiceReport, RuntimeError> {
-    let dests = config.destinations;
-    assert!(
-        rt.num_localities() > dests,
-        "service needs {} localities, runtime has {}",
-        dests + 1,
-        rt.num_localities()
-    );
-
+    let n = rt.num_localities();
+    assert!(n >= 2, "service needs at least one destination locality");
+    // One-way latency needs the sender's clock: only handlers sharing
+    // the client's process record it.
+    let client = rt.is_hosted(0);
     let epoch = Instant::now();
-    let delivered: Arc<Vec<AtomicU64>> = Arc::new((0..=dests).map(|_| AtomicU64::new(0)).collect());
+    let delivered: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
     let latencies: Arc<Vec<Mutex<Vec<u64>>>> =
-        Arc::new((0..=dests).map(|_| Mutex::new(Vec::new())).collect());
-
+        Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
     let (d2, l2) = (Arc::clone(&delivered), Arc::clone(&latencies));
-    let act = rt.action(SERVICE_ACTION).delivery(config.class).register(
-        move |(dest, sent_ns): (u32, u64)| {
-            let now = epoch.elapsed().as_nanos() as u64;
-            d2[dest as usize].fetch_add(1, Ordering::Relaxed);
-            l2[dest as usize]
-                .lock()
-                .unwrap()
-                .push(now.saturating_sub(sent_ns));
-        },
-    );
-
+    let act = rt
+        .action(SERVICE_ACTION)
+        .delivery(config.class)
+        .with_locality()
+        .register(move |here, sent_ns: u64| {
+            d2[here as usize].fetch_add(1, Ordering::Relaxed);
+            if client {
+                let now = epoch.elapsed().as_nanos() as u64;
+                l2[here as usize]
+                    .lock()
+                    .unwrap()
+                    .push(now.saturating_sub(sent_ns));
+            }
+        });
+    let probe = rt.action(PROBE_ACTION).register(|(): ()| ());
+    rt.verify_registration(CONTROL_TIMEOUT)?;
     let control = rt.enable_coalescing_per_destination(SERVICE_ACTION, config.params)?;
-    let controller = config
-        .adaptive
-        .clone()
-        .map(|cfg| control.start_adaptive_per_dest(rt, 0, cfg));
 
-    // Parameter-series sampler: reads each destination's live handle
-    // while the controller steers it.
-    let coalescer = Arc::clone(control.coalescer(0).expect("locality 0 hosted"));
-    let sampler_stop = Arc::new(AtomicBool::new(false));
-    let sampler = {
-        let (stop, every) = (Arc::clone(&sampler_stop), config.sample_every);
-        let coalescer = Arc::clone(&coalescer);
-        std::thread::Builder::new()
-            .name("rpx-service-sampler".into())
-            .spawn(move || {
+    let mut report = ServiceReport::default();
+    let mut sent = vec![0u64; n as usize];
+    let mut probe_ns: Vec<u64> = Vec::new();
+    if client {
+        let controller = config
+            .adaptive
+            .clone()
+            .map(|cfg| control.start_adaptive_per_dest(rt, 0, cfg));
+        let coalescer = Arc::clone(control.coalescer(0).expect("locality 0 hosted"));
+        let stop = Arc::new(AtomicBool::new(false));
+        // Parameter-series sampler: reads each destination's live handle
+        // while the controller steers it.
+        let sampler = {
+            let (stop, every, coalescer) = (Arc::clone(&stop), config.sample_every, coalescer);
+            std::thread::spawn(move || {
                 let started = Instant::now();
                 let mut series = Vec::new();
                 while !stop.load(Ordering::Acquire) {
@@ -265,204 +282,17 @@ pub fn run_service(
                 }
                 series
             })
-            .expect("spawn sampler")
-    };
-
-    let zipf = ZipfSampler::new(dests as usize, config.zipf_s);
-    let cfg = config.clone();
-    let started = Instant::now();
-    let sent_per_dest: Vec<u64> = rt.run_on(0, move |ctx| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut sent = vec![0u64; cfg.destinations as usize + 1];
-        let mut next = Duration::ZERO;
-        let run_start = Instant::now();
-        loop {
-            let t = run_start.elapsed();
-            if t >= cfg.duration {
-                break;
-            }
-            // Open loop: the schedule advances on its own clock. When
-            // the sender falls behind (blocked at a watermark, OS
-            // jitter), the deficit is sent immediately — load is never
-            // silently reduced.
-            if next > t {
-                std::thread::sleep(next - t);
-            }
-            let phase = (t.as_nanos() / cfg.burst_period.as_nanos().max(1)) % 2;
-            let mult = if phase == 1 { cfg.burst_factor } else { 1.0 };
-            let rate = (cfg.sessions as f64 * cfg.base_rate * mult).max(1.0);
-            next += Duration::from_secs_f64(1.0 / rate);
-            let dest = zipf.sample(&mut rng) as u32 + 1;
-            let sent_ns = epoch.elapsed().as_nanos() as u64;
-            ctx.apply(&act, dest, (dest, sent_ns));
-            sent[dest as usize] += 1;
-        }
-        sent
-    });
-    let wall = started.elapsed();
-    let sent_total: u64 = sent_per_dest.iter().sum();
-
-    // Drain: flush straggling coalescing queues, then wait until every
-    // request is accounted — delivered or shed, per endpoint pair.
-    let stats = rt.locality(0).parcel_stats();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        control.flush();
-        let delivered_total: u64 = delivered.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-        let shed_total: u64 = (1..=dests).map(|d| stats.sheds_to(d)).sum();
-        if delivered_total + shed_total >= sent_total {
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err(RuntimeError::ControlTimeout("service drain"));
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    rt.wait_quiescent(Duration::from_secs(30));
-
-    sampler_stop.store(true, Ordering::Release);
-    let series = sampler.join().expect("sampler panicked");
-    let decisions = match controller {
-        Some(c) => c.stop(),
-        None => Vec::new(),
-    };
-
-    let mut per_dest = Vec::with_capacity(dests as usize);
-    let mut all_ns: Vec<u64> = Vec::new();
-    for d in 1..=dests {
-        let mut ns = latencies[d as usize].lock().unwrap().clone();
-        ns.sort_unstable();
-        all_ns.extend_from_slice(&ns);
-        per_dest.push(DestReport {
-            dest: d,
-            sent: sent_per_dest[d as usize],
-            delivered: delivered[d as usize].load(Ordering::Relaxed),
-            shed: stats.sheds_to(d),
-            p99_us: percentile_us(&ns, 0.99),
-            final_nparcels: coalescer.params_for(d).load().nparcels,
-        });
-    }
-    all_ns.sort_unstable();
-
-    let delivered_total: u64 = per_dest.iter().map(|d| d.delivered).sum();
-    let shed_total: u64 = per_dest.iter().map(|d| d.shed).sum();
-    Ok(ServiceReport {
-        sent: sent_total,
-        delivered: delivered_total,
-        shed: shed_total,
-        throughput: delivered_total as f64 / wall.as_secs_f64(),
-        p50_us: percentile_us(&all_ns, 0.50),
-        p99_us: percentile_us(&all_ns, 0.99),
-        backpressure_events: net_counter(rt, "/network/backpressure-events"),
-        backpressure_blocked_ns: net_counter(rt, "/network/backpressure-blocked-ns"),
-        per_dest,
-        series,
-        decisions,
-        wall,
-    })
-}
-
-/// Per-process outcome of a rank-aware service run.
-#[derive(Debug, Clone)]
-pub struct ServiceRankReport {
-    /// Requests the open-loop schedule issued (rank 0 only; 0 elsewhere).
-    pub sent: u64,
-    /// Handler executions on localities hosted by this process.
-    pub delivered_local: u64,
-    /// Requests shed at submit time on this process.
-    pub shed: u64,
-    /// p99 round-trip latency (µs) of the closed-loop probe stream rank 0
-    /// runs alongside the open-loop load (0 on other ranks). Probe RTTs
-    /// are measured on one clock, so they stay meaningful across process
-    /// boundaries where one-way delivery stamps do not.
-    pub probe_p99_us: f64,
-    /// Probe round trips completed.
-    pub probes: u64,
-    /// `/network/backpressure-events` on this process's locality 0 port
-    /// (all admission control happens on the sending rank).
-    pub backpressure_events: i64,
-    /// Sampled per-destination parameter series (rank 0 only).
-    pub series: Vec<ParamSample>,
-}
-
-/// The probe action's name.
-pub const PROBE_ACTION: &str = "service::probe";
-
-/// Rank-aware open-loop service run: works all-in-one and in
-/// multi-process mode (`RuntimeConfig::topology` set). Rank 0 drives the
-/// Zipf-skewed open-loop schedule against every other locality plus a
-/// low-rate closed-loop probe stream for same-clock p99; all ranks
-/// register handlers, publish their delivered count as an
-/// `/app/service-delivered` counter, and meet on the finishing barrier.
-pub fn run_service_rank(
-    rt: &Arc<Runtime>,
-    config: &ServiceConfig,
-) -> Result<ServiceRankReport, RuntimeError> {
-    let n = rt.num_localities();
-    assert!(n >= 2, "service needs at least one destination locality");
-    let dests = n - 1;
-
-    let delivered: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-    let d2 = Arc::clone(&delivered);
-    let act = rt
-        .action(SERVICE_ACTION)
-        .delivery(config.class)
-        .with_locality()
-        .register(move |here, (_dest, _sent_ns): (u32, u64)| {
-            d2[here as usize].fetch_add(1, Ordering::Relaxed);
-        });
-    let probe = rt.action(PROBE_ACTION).register(|(): ()| ());
-    rt.verify_registration(Duration::from_secs(30))?;
-
-    let control = rt.enable_coalescing_per_destination(SERVICE_ACTION, config.params)?;
-    let driver = rt.is_hosted(0);
-    let controller = match (&config.adaptive, driver) {
-        (Some(cfg), true) => Some(control.start_adaptive_per_dest(rt, 0, cfg.clone())),
-        _ => None,
-    };
-
-    let mut sent_total = 0u64;
-    let mut probe_ns: Vec<u64> = Vec::new();
-    let mut series = Vec::new();
-    if driver {
-        let coalescer = Arc::clone(control.coalescer(0).expect("rank 0 hosted"));
-        let sampler_stop = Arc::new(AtomicBool::new(false));
-        let sampler = {
-            let (stop, every) = (Arc::clone(&sampler_stop), config.sample_every);
-            std::thread::spawn(move || {
-                let started = Instant::now();
-                let mut out = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    let t_ms = started.elapsed().as_millis() as u64;
-                    for dest in coalescer.destinations() {
-                        let p = coalescer.params_for(dest).load();
-                        out.push(ParamSample {
-                            t_ms,
-                            dest,
-                            nparcels: p.nparcels,
-                            interval_us: p.interval.as_micros() as u64,
-                        });
-                    }
-                    std::thread::sleep(every);
-                }
-                out
-            })
         };
-
-        // Closed-loop probe stream on its own driver thread: round trips
-        // to the hottest destination, timed on rank 0's clock.
-        let probe_thread = {
-            let rt2 = Arc::clone(rt);
-            let duration = config.duration;
+        // Closed-loop probe stream: round trips to the hottest
+        // destination, timed on the client's clock.
+        let prober = {
+            let (stop, rt) = (Arc::clone(&stop), Arc::clone(rt));
             std::thread::spawn(move || {
                 let mut rtts = Vec::new();
-                let started = Instant::now();
-                while started.elapsed() < duration {
-                    let p2 = probe.clone();
-                    let t0 = Instant::now();
-                    let ok = rt2.run_on(0, move |ctx| {
-                        let f = ctx.async_action(&p2, 1, ());
-                        ctx.wait_all(vec![f]).map(|_| ())
+                while !stop.load(Ordering::Acquire) {
+                    let (probe, t0) = (probe.clone(), Instant::now());
+                    let ok = rt.run_on(0, move |ctx| {
+                        ctx.wait_all(vec![ctx.async_action(&probe, 1, ())])
                     });
                     if ok.is_ok() {
                         rtts.push(t0.elapsed().as_nanos() as u64);
@@ -473,11 +303,12 @@ pub fn run_service_rank(
             })
         };
 
-        let zipf = ZipfSampler::new(dests as usize, config.zipf_s);
+        let zipf = ZipfSampler::new(n as usize - 1, config.zipf_s);
         let cfg = config.clone();
-        sent_total = rt.run_on(0, move |ctx| {
+        let started = Instant::now();
+        sent = rt.run_on(0, move |ctx| {
             let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let mut sent = 0u64;
+            let mut sent = vec![0u64; n as usize];
             let mut next = Duration::ZERO;
             let run_start = Instant::now();
             loop {
@@ -485,6 +316,10 @@ pub fn run_service_rank(
                 if t >= cfg.duration {
                     break;
                 }
+                // Open loop: the schedule advances on its own clock. When
+                // the sender falls behind (blocked at a watermark, OS
+                // jitter), the deficit is sent immediately — load is never
+                // silently reduced.
                 if next > t {
                     std::thread::sleep(next - t);
                 }
@@ -493,45 +328,85 @@ pub fn run_service_rank(
                 let rate = (cfg.sessions as f64 * cfg.base_rate * mult).max(1.0);
                 next += Duration::from_secs_f64(1.0 / rate);
                 let dest = zipf.sample(&mut rng) as u32 + 1;
-                ctx.apply(&act, dest, (dest, 0u64));
-                sent += 1;
+                ctx.apply(&act, dest, epoch.elapsed().as_nanos() as u64);
+                sent[dest as usize] += 1;
             }
             sent
         });
-        control.flush();
-        probe_ns = probe_thread.join().expect("probe thread panicked");
-        sampler_stop.store(true, Ordering::Release);
-        series = sampler.join().expect("sampler panicked");
+        report.wall = started.elapsed();
+        report.sent = sent.iter().sum();
+        stop.store(true, Ordering::Release);
+        probe_ns = prober.join().expect("probe thread panicked");
+        report.series = sampler.join().expect("sampler panicked");
+
+        // Drain: flush straggling coalescing queues and, where every
+        // destination is hosted here, wait until each request is
+        // accounted — delivered or shed, per endpoint pair.
+        let stats = rt.locality(0).parcel_stats();
+        let all_here = rt.hosted_localities().len() as u32 == n;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            control.flush();
+            let accounted: u64 = (1..n)
+                .map(|d| delivered[d as usize].load(Ordering::Relaxed) + stats.sheds_to(d))
+                .sum();
+            if !all_here || accounted >= report.sent {
+                break;
+            }
+            if Instant::now() >= deadline {
+                return Err(RuntimeError::ControlTimeout("service drain"));
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        report.decisions = controller.map_or_else(Vec::new, |c| c.stop());
     }
     rt.wait_quiescent(Duration::from_secs(30));
+    // Servers wait here while the client runs its schedule.
     rt.barrier(config.duration + Duration::from_secs(60))?;
-    drop(controller);
 
     // Publish each hosted locality's delivered count so the launcher's
     // aggregated counter dump carries the fleet-wide total.
-    for id in rt.hosted_localities() {
+    let hosted = rt.hosted_localities();
+    for &id in &hosted {
         let count = delivered[id as usize].load(Ordering::Relaxed);
         rt.locality(id).counters().register_or_replace(
             "/app/service-delivered",
             rpx_counters::CallbackCounter::new(move || CounterValue::Int(count as i64)),
         );
     }
-
+    report.delivered = hosted
+        .iter()
+        .map(|&id| delivered[id as usize].load(Ordering::Relaxed))
+        .sum();
+    let stats = rt.locality(hosted[0]).parcel_stats();
+    report.backpressure_events = stats.backpressure_events.load(Ordering::Relaxed);
+    report.backpressure_blocked_ns = stats.backpressure_blocked_ns.load(Ordering::Relaxed);
     probe_ns.sort_unstable();
-    let stats = rt.locality(rt.hosted_localities()[0]).parcel_stats();
-    Ok(ServiceRankReport {
-        sent: sent_total,
-        delivered_local: rt
-            .hosted_localities()
-            .iter()
-            .map(|&id| delivered[id as usize].load(Ordering::Relaxed))
-            .sum(),
-        shed: (1..n).map(|d| stats.sheds_to(d)).sum(),
-        probe_p99_us: percentile_us(&probe_ns, 0.99),
-        probes: probe_ns.len() as u64,
-        backpressure_events: stats.backpressure_events.load(Ordering::Relaxed) as i64,
-        series,
-    })
+    report.probe_p99_us = percentile_us(&probe_ns, 0.99);
+    report.probes = probe_ns.len() as u64;
+    if client {
+        report.shed = (1..n).map(|d| stats.sheds_to(d)).sum();
+        report.throughput = report.delivered as f64 / report.wall.as_secs_f64();
+        let coalescer = control.coalescer(0).expect("locality 0 hosted");
+        let mut all_ns: Vec<u64> = Vec::new();
+        for d in (1..n).filter(|&d| rt.is_hosted(d)) {
+            let mut ns = std::mem::take(&mut *latencies[d as usize].lock().unwrap());
+            ns.sort_unstable();
+            all_ns.extend_from_slice(&ns);
+            report.per_dest.push(DestReport {
+                dest: d,
+                sent: sent[d as usize],
+                delivered: delivered[d as usize].load(Ordering::Relaxed),
+                shed: stats.sheds_to(d),
+                p99_us: percentile_us(&ns, 0.99),
+                final_nparcels: coalescer.params_for(d).load().nparcels,
+            });
+        }
+        all_ns.sort_unstable();
+        report.p50_us = percentile_us(&all_ns, 0.50);
+        report.p99_us = percentile_us(&all_ns, 0.99);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -559,7 +434,6 @@ mod tests {
     fn quick() -> ServiceConfig {
         ServiceConfig {
             sessions: 4,
-            destinations: 2,
             duration: Duration::from_millis(250),
             base_rate: 2000.0,
             burst_period: Duration::from_millis(60),
@@ -670,26 +544,31 @@ mod tests {
     }
 
     #[test]
-    fn rank_aware_service_runs_all_in_one() {
+    fn all_in_one_run_accounts_per_destination_and_publishes_deliveries() {
         let rt = service_runtime(3, Some(8), sim());
-        let report = run_service_rank(&rt, &quick()).unwrap();
+        let report = run_service(&rt, &quick()).unwrap();
         assert!(report.sent > 0);
-        assert_eq!(
-            report.delivered_local + report.shed,
-            report.sent,
-            "rank accounting inexact: {report:?}"
-        );
+        assert_eq!(report.per_dest.len(), 2);
+        for d in &report.per_dest {
+            assert_eq!(
+                d.delivered + d.shed,
+                d.sent,
+                "destination {}: {d:?}",
+                d.dest
+            );
+        }
+        assert!(report.accounting_exact(), "inexact: {report:?}");
         assert!(report.probes > 0, "probe stream never completed");
         assert!(!report.series.is_empty());
         // The delivered counters published for aggregation sum to the
-        // process-local total.
+        // delivered total.
         let published: i64 = (0..3)
             .map(|l| match rt.query(l, "/app/service-delivered") {
                 Ok(CounterValue::Int(v)) => v,
-                _ => 0,
+                other => panic!("locality {l}: {other:?}"),
             })
             .sum();
-        assert_eq!(published as u64, report.delivered_local);
+        assert_eq!(published as u64, report.delivered);
         rt.shutdown();
     }
 

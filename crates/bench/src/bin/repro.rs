@@ -23,7 +23,8 @@
 //! `chaos` (not part of `all`) is the reliability smoke: the toy app
 //! runs over both backends under `FaultPlan::chaos()` with the
 //! reliability sublayer enabled, and the run exits non-zero if any LCO
-//! was lost or duplicated.
+//! was lost or duplicated. The per-delivery-class contracts are
+//! `tests/delivery_class.rs`'s.
 //!
 //! `launch -n N [--book] [--timeout-s T] [--expect-shm] -- <scenario…>`
 //! (not part of `all`) runs a scenario as N cooperating OS processes —
@@ -31,9 +32,11 @@
 //! per-rank counter dumps, and propagating the first non-zero exit.
 //! `worker` is the internal mode those processes run in (driven entirely
 //! by the `RPX_RANK`/`RPX_BOOTSTRAP` environment the launcher sets).
-//! Scenarios: `toy`, `parquet`, `chaos` (toy under `FaultPlan::chaos()`
-//! with reliability across the real process boundary), and `service`
-//! (rank 0 drives the skewed open-loop load against the other ranks;
+//! Scenarios run the same drivers that draw the figures (`run_toy`,
+//! `run_parquet`, `run_service`), one rank per process: `toy`,
+//! `parquet`, `chaos` (toy under `FaultPlan::chaos()` with reliability
+//! across the real process boundary), and `service` (rank 0 drives the
+//! skewed open-loop load against the other ranks;
 //! knobs ride `RPX_SERVICE_*` environment variables — `ZIPF_S`, `RATE`,
 //! `SESSIONS`, `DURATION_MS`, `WATERMARK`, `CLASS`, `CSV`, plus the
 //! gates `P99_US` and `EXPECT_BACKPRESSURE`).
@@ -264,37 +267,8 @@ fn run_chaos(scale: Scale) {
     );
     print_csv(&headers, &rows);
 
-    let class_headers = [
-        "backend",
-        "class",
-        "sent",
-        "delivered",
-        "be_dropped",
-        "dups_suppressed",
-    ];
-    let class_rows: Vec<Vec<String>> = r
-        .class_rows
-        .iter()
-        .map(|row| {
-            vec![
-                row.backend.to_string(),
-                row.class.to_string(),
-                row.sent.to_string(),
-                row.delivered.to_string(),
-                row.dropped.to_string(),
-                row.duplicates_suppressed.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Chaos — per-delivery-class contracts on every backend",
-        &class_headers,
-        &class_rows,
-    );
-    print_csv(&class_headers, &class_rows);
-
     if r.violations.is_empty() {
-        println!("chaos OK: every delivery-class contract held on every backend");
+        println!("chaos OK: exactly-once delivery held on every backend");
     } else {
         for v in &r.violations {
             eprintln!("chaos VIOLATION: {v}");
@@ -577,12 +551,9 @@ fn run_service_exp(scale: Scale) {
         r.decisions.len(),
         r.per_dest.len()
     );
-    if let Ok(path) = std::env::var("RPX_SERVICE_CSV") {
-        if let Err(e) = std::fs::write(&path, service_series_csv(&r.series)) {
-            eprintln!("service: cannot write series CSV to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("service: parameter series written to {path}");
+    if let Err(e) = write_series_csv(&r.series) {
+        eprintln!("service: {e}");
+        std::process::exit(1);
     }
     if !r.accounting_exact() {
         eprintln!("service FAILED: per-endpoint-pair accounting is inexact: {r:?}");
@@ -600,15 +571,22 @@ fn run_service_exp(scale: Scale) {
     println!("service OK: accounting exact, per-destination parameters diverged");
 }
 
-fn service_series_csv(series: &[rpx_apps::ParamSample]) -> String {
-    let mut out = String::from("t_ms,dest,nparcels,interval_us\n");
+/// Write the per-destination parameter series as CSV to `RPX_SERVICE_CSV`,
+/// when set.
+fn write_series_csv(series: &[rpx_apps::ParamSample]) -> Result<(), String> {
+    let Ok(path) = std::env::var("RPX_SERVICE_CSV") else {
+        return Ok(());
+    };
+    let mut csv = String::from("t_ms,dest,nparcels,interval_us\n");
     for s in series {
-        out.push_str(&format!(
+        csv.push_str(&format!(
             "{},{},{},{}\n",
             s.t_ms, s.dest, s.nparcels, s.interval_us
         ));
     }
-    out
+    std::fs::write(&path, csv).map_err(|e| format!("cannot write series CSV to {path}: {e}"))?;
+    println!("service: parameter series written to {path}");
+    Ok(())
 }
 
 /// `repro bench-compare [--baseline <path>] <current.json>…`: diff
@@ -901,11 +879,14 @@ fn worker_toy(rt: &Arc<rpx::Runtime>, scale: Scale, chaos: bool) -> Result<(), S
             rt.inject_faults(r, Some(Arc::clone(plan)));
         }
     }
-    let cfg = rpx_apps::MultiprocToyConfig {
+    let cfg = rpx_apps::ToyConfig {
         numparcels: scale.pick(2_000, 50_000),
-        ..Default::default()
+        phases: 3,
+        bidirectional: true,
+        coalescing: Some(rpx::CoalescingParams::new(64, Duration::from_micros(2000))),
+        nparcels_schedule: None,
     };
-    let report = rpx_apps::run_toy_rank(rt, &cfg).map_err(|e| e.to_string())?;
+    let report = rpx_apps::toy::run_toy(rt, &cfg).map_err(|e| e.to_string())?;
     let expected = (cfg.numparcels * cfg.phases) as u64;
     for s in &report.per_rank {
         if s.parcels_sent != expected {
@@ -957,29 +938,19 @@ fn worker_service(rt: &Arc<rpx::Runtime>, scale: Scale, rank: u32) -> Result<(),
         class,
         ..rpx_apps::ServiceConfig::default()
     };
-    let report = rpx_apps::run_service_rank(rt, &config).map_err(|e| e.to_string())?;
+    let report = rpx_apps::run_service(rt, &config).map_err(|e| e.to_string())?;
     println!(
-        "service rank {rank}: sent {} delivered_local {} shed {} probes {} \
+        "service rank {rank}: sent {} delivered {} shed {} probes {} \
          probe_p99_us {:.1} backpressure_events {}",
         report.sent,
-        report.delivered_local,
+        report.delivered,
         report.shed,
         report.probes,
         report.probe_p99_us,
         report.backpressure_events
     );
     if rank == 0 {
-        if let Ok(path) = std::env::var("RPX_SERVICE_CSV") {
-            let mut csv = String::from("t_ms,dest,nparcels,interval_us\n");
-            for s in &report.series {
-                csv.push_str(&format!(
-                    "{},{},{},{}\n",
-                    s.t_ms, s.dest, s.nparcels, s.interval_us
-                ));
-            }
-            std::fs::write(&path, csv).map_err(|e| format!("series CSV {path}: {e}"))?;
-            println!("service rank 0: parameter series written to {path}");
-        }
+        write_series_csv(&report.series)?;
         let p99_ceiling = envf("RPX_SERVICE_P99_US", 0.0);
         if p99_ceiling > 0.0 && report.probe_p99_us > p99_ceiling {
             return Err(format!(
@@ -998,11 +969,13 @@ fn worker_service(rt: &Arc<rpx::Runtime>, scale: Scale, rank: u32) -> Result<(),
 
 /// The parquet scenario for one rank.
 fn worker_parquet(rt: &Arc<rpx::Runtime>, scale: Scale) -> Result<(), String> {
-    let cfg = rpx_apps::MultiprocParquetConfig {
+    let cfg = rpx_apps::ParquetConfig {
         nc: scale.pick(8, 24),
-        ..Default::default()
+        iterations: 3,
+        coalescing: Some(rpx::CoalescingParams::new(4, Duration::from_micros(2000))),
+        compute_per_iteration: Duration::from_millis(1),
     };
-    let report = rpx_apps::run_parquet_rank(rt, &cfg).map_err(|e| e.to_string())?;
+    let report = rpx_apps::parquet::run_parquet(rt, &cfg).map_err(|e| e.to_string())?;
     for s in &report.per_rank {
         println!(
             "parquet rank {}: parcels {} checksum ({}, {})",

@@ -8,11 +8,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rpx::{AdaptiveConfig, CoalescingParams, LinkModel, PicsTuner, Runtime, TelemetryConfig};
+use rpx::TransportKind::Sim;
+use rpx::{
+    AdaptiveConfig, CoalescingParams, LinkModel, PicsTuner, Runtime, TelemetryConfig,
+    TelemetryService,
+};
 use rpx_adaptive::Ladder;
 use rpx_apps::driver;
 use rpx_apps::parquet::{run_parquet, ParquetConfig};
-use rpx_apps::toy::{run_toy, run_toy_sampled, ToyConfig};
+use rpx_apps::toy::{run_toy, ToyConfig, ToyReport};
 use rpx_metrics::{overhead_time_correlation, rsd_percent, SweepPoint};
 use rpx_util::{OnlineStats, TimerService};
 
@@ -135,7 +139,7 @@ pub struct ScatterReport {
 pub fn exp_fig4(scale: Scale) -> ScatterReport {
     let nparcels = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let intervals = [2_000u64, 4_000];
-    let outcomes = driver::toy_sweep(&toy_base(scale), paper_link(), &nparcels, &intervals);
+    let outcomes = driver::toy_sweep(&toy_base(scale), paper_link(), &nparcels, &intervals, None);
     let points = driver::to_points(&outcomes);
     let pearson = overhead_time_correlation(&points);
     ScatterReport { points, pearson }
@@ -204,7 +208,7 @@ pub fn exp_fig5(scale: Scale) -> CompletionReport {
     for &n in &grid {
         let mut cfg = toy_base(scale);
         cfg.coalescing = Some(CoalescingParams::new(n, Duration::from_micros(4_000)));
-        let rt = driver::boot(2, paper_link());
+        let rt = driver::boot(2, Sim(paper_link()));
         let report = run_toy(&rt, &cfg).expect("fig5 run");
         rt.shutdown();
         rows.push((
@@ -269,7 +273,7 @@ pub fn exp_fig6(scale: Scale) -> CompletionReport {
         cfg.coalescing = Some(CoalescingParams::new(n, Duration::from_micros(4_000)));
         let mut per_iter_sums: Vec<f64> = vec![0.0; cfg.iterations];
         for _ in 0..repeats {
-            let rt = driver::boot(PARQUET_LOCALITIES, parquet_link(cfg.nc));
+            let rt = driver::boot(PARQUET_LOCALITIES, Sim(parquet_link(cfg.nc)));
             let report = run_parquet(&rt, &cfg).expect("fig6 run");
             rt.shutdown();
             for (sum, it) in per_iter_sums.iter_mut().zip(&report.iterations) {
@@ -407,7 +411,7 @@ pub fn exp_fig9(scale: Scale) -> Vec<Fig9Run> {
             Duration::from_micros(2_000),
         ));
         cfg.nparcels_schedule = Some(schedule.clone());
-        let rt = driver::boot(2, paper_link());
+        let rt = driver::boot(2, Sim(paper_link()));
         let report = run_toy(&rt, &cfg).expect("fig9 run");
         rt.shutdown();
         runs.push(Fig9Run {
@@ -493,7 +497,7 @@ pub fn exp_adaptive(scale: Scale) -> AdaptiveReport {
     let run_static = |n: usize| -> f64 {
         let mut cfg = base.clone();
         cfg.coalescing = Some(CoalescingParams::new(n, interval));
-        let rt = driver::boot(2, paper_link());
+        let rt = driver::boot(2, Sim(paper_link()));
         let r = run_toy(&rt, &cfg).expect("static toy run");
         rt.shutdown();
         r.phases.iter().map(|p| p.wall.as_secs_f64()).sum()
@@ -516,7 +520,7 @@ pub fn exp_adaptive(scale: Scale) -> AdaptiveReport {
     let (adaptive_secs, adaptive_final_nparcels, adaptive_decisions) = {
         let mut cfg = base.clone();
         cfg.coalescing = Some(CoalescingParams::new(1, interval));
-        let rt = driver::boot(2, paper_link());
+        let rt = driver::boot(2, Sim(paper_link()));
         let action = rt
             .action(rpx_apps::toy::TOY_ACTION)
             .register(|(): ()| rpx::Complex64::new(13.3, -23.8));
@@ -575,7 +579,7 @@ pub fn exp_adaptive(scale: Scale) -> AdaptiveReport {
                 tuner.current(),
                 Duration::from_micros(4_000),
             ));
-            let rt = driver::boot(PARQUET_LOCALITIES, parquet_link(it_cfg.nc));
+            let rt = driver::boot(PARQUET_LOCALITIES, Sim(parquet_link(it_cfg.nc)));
             let report = run_parquet(&rt, &it_cfg).expect("pics iteration");
             rt.shutdown();
             tuner.report_iteration(report.mean_iteration_secs());
@@ -631,7 +635,7 @@ pub fn exp_phase_change(scale: Scale) -> PhaseChangeReport {
     use rpx_apps::toy::TOY_ACTION;
 
     let interval = Duration::from_micros(2_000);
-    let rt = driver::boot(2, paper_link());
+    let rt = driver::boot(2, Sim(paper_link()));
     let action = rt
         .action(TOY_ACTION)
         .register(|(): ()| rpx::Complex64::new(13.3, -23.8));
@@ -739,7 +743,7 @@ pub fn exp_ablate_trigger(scale: Scale) -> Vec<TriggerRow> {
         // Parcel wire size ≈ 40 + 16·elems bytes (see Parcel::wire_size).
         let parcel_bytes = 40 + 16 * payload_elems;
         let run = |params: CoalescingParams| -> f64 {
-            let rt = driver::boot(2, paper_link());
+            let rt = driver::boot(2, Sim(paper_link()));
             let action = rt
                 .action("ablate::echo")
                 .register(move |v: Vec<rpx::Complex64>| v.len() as u64);
@@ -789,7 +793,7 @@ pub fn exp_ablate_bypass(scale: Scale) -> Vec<BypassRow> {
     let n = scale.pick(40, 300);
     let gap = Duration::from_micros(1_000);
     let run = |label: &str, params: Option<CoalescingParams>| -> BypassRow {
-        let rt = driver::boot(2, paper_link());
+        let rt = driver::boot(2, Sim(paper_link()));
         let action = rt.action("sparse::ping").register(|x: u64| x);
         if let Some(p) = params {
             let _ = rt.enable_coalescing("sparse::ping", p).unwrap();
@@ -918,26 +922,33 @@ impl TelemetrySmokeReport {
     }
 }
 
+/// One toy run on a fresh paper-link runtime; with `sampled`, locality
+/// 0's counters are sampled at the default 1 ms period for the whole run
+/// (the series stay readable after shutdown).
+fn paper_toy(base: &ToyConfig, sampled: bool) -> (ToyReport, Option<TelemetryService>) {
+    let rt = driver::boot(2, Sim(paper_link()));
+    let svc = sampled.then(|| {
+        rt.start_telemetry(0, TelemetryConfig::default())
+            .expect("locality 0 always exists")
+    });
+    let report = run_toy(&rt, base).expect("toy run failed");
+    rt.shutdown();
+    (report, svc)
+}
+
 /// Run the toy app with the default 1 ms sampler and report what the
 /// telemetry service captured — the CI smoke for the sampling path.
 pub fn exp_telemetry_smoke(scale: Scale) -> TelemetrySmokeReport {
     let mut base = toy_base(scale);
     base.coalescing = Some(CoalescingParams::new(32, Duration::from_micros(4_000)));
-    let rt = Runtime::new(driver::sweep_runtime_config(2, paper_link()));
-    let (_report, svc) =
-        run_toy_sampled(&rt, &base, TelemetryConfig::default()).expect("sampled toy run failed");
-    let overhead = svc.overhead_series();
-    let json = svc.export_json();
-    let csv = svc.export_csv();
-    let report = TelemetrySmokeReport {
+    let svc = paper_toy(&base, true).1.expect("sampled run");
+    TelemetrySmokeReport {
         ticks: svc.ticks(),
         series: svc.paths().len(),
-        overhead_samples: overhead.len(),
-        json_bytes: json.len(),
-        csv_rows: csv.lines().count().saturating_sub(1),
-    };
-    rt.shutdown();
-    report
+        overhead_samples: svc.overhead_series().len(),
+        json_bytes: svc.export_json().len(),
+        csv_rows: svc.export_csv().lines().count().saturating_sub(1),
+    }
 }
 
 /// Fig. 4 recomputed from *sampled* series: the same coalescing sweep,
@@ -947,18 +958,15 @@ pub fn exp_telemetry_smoke(scale: Scale) -> TelemetrySmokeReport {
 /// (r ≥ 0.9).
 pub fn exp_fig4_sampled(scale: Scale) -> ScatterReport {
     let nparcels = [1usize, 2, 4, 8, 16, 32, 64, 128];
-    let intervals = [4_000u64];
-    let outcomes = driver::toy_sweep_sampled(
+    let telemetry = TelemetryConfig::default();
+    let outcomes = driver::toy_sweep(
         &toy_base(scale),
         paper_link(),
         &nparcels,
-        &intervals,
-        &TelemetryConfig::default(),
+        &[4_000],
+        Some(&telemetry),
     );
-    let points: Vec<SweepPoint> = outcomes
-        .iter()
-        .map(driver::SampledOutcome::to_sampled_point)
-        .collect();
+    let points = driver::to_points(&outcomes);
     let pearson = overhead_time_correlation(&points);
     ScatterReport { points, pearson }
 }
@@ -1011,18 +1019,7 @@ pub fn exp_sampling_overhead(scale: Scale, repeats: usize) -> SamplingOverheadRe
     // checked; quadruple the quick-scale workload for this experiment.
     base.numparcels *= scale.pick(4, 1);
     base.coalescing = Some(CoalescingParams::new(32, Duration::from_micros(4_000)));
-    let run_once = |sampled: bool| -> f64 {
-        let rt = Runtime::new(driver::sweep_runtime_config(2, paper_link()));
-        let wall = if sampled {
-            let (report, _svc) = run_toy_sampled(&rt, &base, TelemetryConfig::default())
-                .expect("sampled toy run failed");
-            report.total
-        } else {
-            run_toy(&rt, &base).expect("toy run failed").total
-        };
-        rt.shutdown();
-        wall.as_secs_f64()
-    };
+    let run_once = |sampled: bool| paper_toy(&base, sampled).0.total.as_secs_f64();
     // One discarded warm-up per arm (first-touch page faults, lazy init).
     run_once(false);
     run_once(true);
@@ -1083,31 +1080,12 @@ pub struct ChaosRow {
     pub delivery_failures: i64,
 }
 
-/// One delivery-class semantics check on one backend under chaos.
-#[derive(Debug, Clone)]
-pub struct ClassChaosRow {
-    /// Transport backend the leg ran over.
-    pub backend: &'static str,
-    /// Delivery class under test.
-    pub class: &'static str,
-    /// Parcels applied from locality 0.
-    pub sent: u64,
-    /// Handler executions on the consumer.
-    pub delivered: u64,
-    /// `/network/best-effort-dropped` summed over both localities.
-    pub dropped: i64,
-    /// `/network/duplicates-suppressed` summed over both localities.
-    pub duplicates_suppressed: i64,
-}
-
 /// Result of [`exp_chaos`]: per-backend stats plus every violated
 /// invariant (empty = the reliability layer held).
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// One row per backend.
     pub rows: Vec<ChaosRow>,
-    /// One row per (backend, delivery class) semantics leg.
-    pub class_rows: Vec<ClassChaosRow>,
     /// Human-readable invariant violations.
     pub violations: Vec<String>,
 }
@@ -1123,7 +1101,7 @@ fn chaos_toy_config(scale: Scale) -> ToyConfig {
 }
 
 fn chaos_runtime(kind: rpx::TransportKind) -> Arc<Runtime> {
-    let mut config = driver::sweep_runtime_config_on(2, kind);
+    let mut config = driver::sweep_runtime_config(2, kind);
     // Default reliability tunables: the 5 ms initial RTO sits well above
     // the ack round-trip (ack_interval 100 µs + wire latency), so a
     // clean wire sees essentially no spurious retransmits.
@@ -1157,7 +1135,7 @@ pub fn exp_chaos(scale: Scale) -> ChaosReport {
     for (backend, kind) in backends {
         let cfg = chaos_toy_config(scale);
 
-        let rt = Runtime::new(driver::sweep_runtime_config_on(2, kind));
+        let rt = driver::boot(2, kind);
         let off = run_toy(&rt, &cfg).expect("reliability-off toy run failed");
         rt.shutdown();
 
@@ -1222,137 +1200,7 @@ pub fn exp_chaos(scale: Scale) -> ChaosReport {
         }
         rows.push(row);
     }
-    let class_rows = chaos_class_legs(scale, &mut violations);
-    ChaosReport {
-        rows,
-        class_rows,
-        violations,
-    }
-}
-
-/// Per-class chaos matrix: each delivery class, on each backend
-/// (including shared memory), must honour its own contract with
-/// locality 0's wire under fault injection:
-///
-/// * **Lossless** under the full chaos plan — exactly-once.
-/// * **BestEffort** under drop + duplicate — at-most-once, with
-///   `delivered + best_effort_dropped == sent` (exact: reorder is
-///   excluded because a duplicate displaced past the dedup window is
-///   conservatively over-counted as a stale drop).
-/// * **Coalesce** under drop + duplicate + reorder — the final value
-///   arrives and the mailbox merged updates on the way.
-fn chaos_class_legs(scale: Scale, violations: &mut Vec<String>) -> Vec<ClassChaosRow> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let backends = [
-        ("sim", rpx::TransportKind::Sim(paper_link())),
-        ("tcp", rpx::TransportKind::TcpLoopback),
-        ("shm", rpx::TransportKind::Shm(rpx::ShmTuning::default())),
-    ];
-    let sent = scale.pick(280, 1_400) as u64;
-    let mut out = Vec::new();
-
-    let drop_and_duplicate = || {
-        let mut plan = rpx_net::FaultPlan::default();
-        plan.drop_every = Some(7);
-        plan.duplicate_every = Some(5);
-        plan
-    };
-    let with_reorder = || {
-        let mut plan = drop_and_duplicate();
-        plan.reorder_window = Some(9);
-        plan
-    };
-
-    for (backend, kind) in backends {
-        for class in ["lossless", "best_effort", "coalesce"] {
-            let rt = chaos_runtime(kind);
-            let hits = Arc::new(AtomicU64::new(0));
-            let max_seen = Arc::new(AtomicU64::new(0));
-            let (h, m) = (Arc::clone(&hits), Arc::clone(&max_seen));
-            let (delivery, plan) = match class {
-                "lossless" => (rpx::DeliveryClass::Lossless, rpx_net::FaultPlan::chaos()),
-                "best_effort" => (rpx::DeliveryClass::BestEffort, drop_and_duplicate()),
-                _ => (rpx::DeliveryClass::Coalesce, with_reorder()),
-            };
-            let act = rt
-                .action(&format!("chaos::{class}"))
-                .delivery(delivery)
-                .coalesce_interval(Duration::from_millis(2))
-                .register(move |v: u64| {
-                    h.fetch_add(1, Ordering::SeqCst);
-                    m.fetch_max(v, Ordering::SeqCst);
-                });
-            rt.inject_faults(0, Some(Arc::new(plan)));
-            rt.run_on(0, move |ctx| {
-                for v in 1..=sent {
-                    ctx.apply(&act, 1, v);
-                }
-            });
-            if delivery == rpx::DeliveryClass::Coalesce {
-                // The mailbox slot is outside the quiescence gauges
-                // until its flush timer fires: poll for the final value.
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while max_seen.load(Ordering::SeqCst) != sent && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            if !rt.wait_quiescent(Duration::from_secs(30)) {
-                violations.push(format!("{backend}/{class}: traffic stalled quiescence"));
-                rt.shutdown();
-                continue;
-            }
-            let row = ClassChaosRow {
-                backend,
-                class,
-                sent,
-                delivered: hits.load(Ordering::SeqCst),
-                dropped: sum_net_counter(&rt, "best-effort-dropped"),
-                duplicates_suppressed: sum_net_counter(&rt, "duplicates-suppressed"),
-            };
-            match class {
-                "lossless" => {
-                    if row.delivered != sent {
-                        violations.push(format!(
-                            "{backend}/lossless: {} of {sent} delivered (lost or duplicated)",
-                            row.delivered
-                        ));
-                    }
-                }
-                "best_effort" => {
-                    if row.delivered as i64 + row.dropped != sent as i64 {
-                        violations.push(format!(
-                            "{backend}/best_effort: accounting gap — {} delivered + {} \
-                             dropped != {sent} sent",
-                            row.delivered, row.dropped
-                        ));
-                    }
-                    if row.dropped == 0 {
-                        violations.push(format!(
-                            "{backend}/best_effort: the wire never dropped a frame"
-                        ));
-                    }
-                }
-                _ => {
-                    if max_seen.load(Ordering::SeqCst) != sent {
-                        violations.push(format!(
-                            "{backend}/coalesce: final value never arrived (max {})",
-                            max_seen.load(Ordering::SeqCst)
-                        ));
-                    }
-                    if row.delivered >= sent {
-                        violations.push(format!(
-                            "{backend}/coalesce: nothing was merged ({} deliveries)",
-                            row.delivered
-                        ));
-                    }
-                }
-            }
-            rt.shutdown();
-            out.push(row);
-        }
-    }
-    out
+    ChaosReport { rows, violations }
 }
 
 /// X-service: the skewed open-loop service generator on a Sim runtime
@@ -1368,7 +1216,6 @@ pub fn exp_service(scale: Scale) -> rpx_apps::ServiceReport {
     });
     let config = rpx_apps::ServiceConfig {
         sessions: scale.pick(4, 16),
-        destinations: 3,
         duration: Duration::from_millis(scale.pick(600, 3_000)),
         base_rate: scale.pick(1_500.0, 3_000.0),
         ..rpx_apps::ServiceConfig::default()

@@ -199,6 +199,10 @@ impl ParcelInterceptor for Coalescer {
             q.flush();
         }
     }
+
+    fn pending(&self) -> usize {
+        Coalescer::pending(self)
+    }
 }
 
 #[cfg(test)]

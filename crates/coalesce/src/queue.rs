@@ -28,6 +28,7 @@
 //! when the transport drops them, and counter updates and timestamping
 //! happen outside the state lock.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,6 +82,11 @@ pub struct CoalescingQueue {
     /// `Vec<Parcel>` here on drop, and the next fill re-uses it.
     pool: Arc<BufferPool>,
     state: Mutex<State>,
+    /// Parcels taken out of the buffer by a flush but not yet handed to
+    /// the send path. Rises under the state lock, falls (`Release`) only
+    /// after `emit` returns, so [`CoalescingQueue::pending`] never reads
+    /// 0 while a flushed batch is between the queue and the egress queue.
+    emitting: AtomicUsize,
 }
 
 impl CoalescingQueue {
@@ -126,6 +132,7 @@ impl CoalescingQueue {
                 epoch: 0,
                 timer: None,
             }),
+            emitting: AtomicUsize::new(0),
         })
     }
 
@@ -134,9 +141,11 @@ impl CoalescingQueue {
         self.dst
     }
 
-    /// Parcels currently buffered.
+    /// Parcels currently buffered, or flushed and still on their way to
+    /// the send path.
     pub fn pending(&self) -> usize {
-        self.state.lock().buffer.len()
+        let buffered = self.state.lock().buffer.len();
+        buffered + self.emitting.load(Ordering::Acquire)
     }
 
     /// Spare recycled buffers currently pooled (observability/tests).
@@ -250,6 +259,7 @@ impl CoalescingQueue {
             return None;
         }
         st.bytes = 0;
+        self.emitting.fetch_add(st.buffer.len(), Ordering::Relaxed);
         Some(std::mem::take(&mut st.buffer))
     }
 
@@ -269,12 +279,14 @@ impl CoalescingQueue {
 
     /// Record counters and hand a flushed buffer to the send path.
     fn emit_buf(&self, buf: Vec<Parcel>) {
-        self.counters.record_message(buf.len());
+        let len = buf.len();
+        self.counters.record_message(len);
         if self.policy == FlushPolicy::Mailbox {
             self.path.note_mailbox_flushed();
         }
         self.path
             .emit(self.dst, ParcelBatch::from_pool(buf, &self.pool));
+        self.emitting.fetch_sub(len, Ordering::Release);
     }
 }
 

@@ -379,6 +379,34 @@ mod tests {
     }
 
     #[test]
+    fn wait_quiescent_waits_for_a_partial_batch_on_its_flush_timer() {
+        let rt = test_runtime();
+        let hits = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hits);
+        let act = rt.action("partial").register(move |(): ()| {
+            h.fetch_add(1, Ordering::SeqCst);
+        });
+        let _control = rt
+            .enable_coalescing(
+                "partial",
+                CoalescingParams::new(64, Duration::from_millis(20)),
+            )
+            .unwrap();
+        rt.run_on(0, move |ctx| {
+            for _ in 0..3 {
+                ctx.apply(&act, 1, ());
+            }
+        });
+        assert!(rt.wait_quiescent(Duration::from_secs(10)));
+        assert_eq!(
+            hits.load(Ordering::SeqCst),
+            3,
+            "quiescent while the batch still waited for its timer"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
     fn adaptive_controller_attaches_and_stops() {
         let rt = test_runtime();
         let _act = rt.action("ad").register(|(): ()| ());

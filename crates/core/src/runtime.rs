@@ -1494,22 +1494,36 @@ impl Runtime {
         std::fs::write(path, self.counters_json())
     }
 
-    /// Block until all localities are quiescent (no pending tasks and no
-    /// parcels in flight). Returns `false` on timeout.
+    /// Block until all localities are quiescent (no parcels held by a
+    /// coalescer, no pending tasks and no parcels in flight). Returns
+    /// `false` on timeout.
     pub fn wait_quiescent(&self, timeout: Duration) -> bool {
+        self.quiesce(timeout, false)
+    }
+
+    /// [`Runtime::wait_quiescent`], optionally flushing every interceptor
+    /// on each poll so parcels queued behind a long flush interval — even
+    /// ones produced by the traffic being drained — leave immediately.
+    ///
+    /// Quiescent means two idle passes in a row: a handler that finished
+    /// during the first may have sent a reply stage by stage behind it.
+    fn quiesce(&self, timeout: Duration, flush: bool) -> bool {
         let deadline = std::time::Instant::now() + timeout;
+        let mut idle_passes = 0;
         loop {
-            let busy = self.localities.iter().any(|l| {
-                l.scheduler.pending_tasks() > 0
-                    || l.port.egress_backlog() > 0
-                    || l.port.processing() > 0
-                    || l.port.net().outbound_backlog() > 0
-                    || l.port.net().inflight_backlog() > 0
-                    || l.port.net().processing() > 0
-            });
-            if !busy {
-                return true;
+            if flush {
+                for l in &self.localities {
+                    l.port.flush_interceptors();
+                }
             }
+            if !self.busy() {
+                idle_passes += 1;
+                if idle_passes == 2 {
+                    return true;
+                }
+                continue;
+            }
+            idle_passes = 0;
             if std::time::Instant::now() >= deadline {
                 return false;
             }
@@ -1517,8 +1531,31 @@ impl Runtime {
         }
     }
 
-    /// Shut the runtime down: flush coalescers, drain, stop schedulers.
-    /// Idempotent; also called on drop.
+    /// One pass over every gauge a parcel crosses, stage by stage across
+    /// all localities in the order parcels move, so one moving downstream
+    /// during the pass is seen at a later stage. Every handoff raises the
+    /// next gauge before it lowers the previous one. The transport's
+    /// processing gauge covers a message both between the outbound queue
+    /// and the wire and between the wire and its tasks, so it is read at
+    /// both places; tasks, where parcels end, come last.
+    fn busy(&self) -> bool {
+        const STAGES: [fn(&Locality) -> usize; 8] = [
+            |l| l.port.interceptor_pending(),
+            |l| l.port.egress_backlog(),
+            |l| l.port.processing(),
+            |l| l.port.net().outbound_backlog(),
+            |l| l.port.net().processing(),
+            |l| l.port.net().inflight_backlog(),
+            |l| l.port.net().processing(),
+            |l| l.scheduler.pending_tasks(),
+        ];
+        STAGES
+            .iter()
+            .any(|gauge| self.localities.iter().any(|l| gauge(l) > 0))
+    }
+
+    /// Shut the runtime down: flush coalescers and drain, stop schedulers
+    /// and the flush-timer thread. Idempotent; also called on drop.
     pub fn shutdown(&self) {
         if self
             .shut_down
@@ -1529,13 +1566,11 @@ impl Runtime {
         for svc in self.telemetry.lock().values() {
             svc.stop();
         }
-        for l in &self.localities {
-            l.port.flush_interceptors();
-        }
-        let _ = self.wait_quiescent(Duration::from_secs(10));
+        let _ = self.quiesce(Duration::from_secs(10), true);
         for l in &self.localities {
             l.scheduler.shutdown();
         }
+        self.timer.shutdown();
     }
 }
 

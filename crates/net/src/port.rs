@@ -230,10 +230,12 @@ impl PortFront {
             }
         }
         for _ in 0..PUMP_BATCH {
+            // Enter before popping, so quiescence never sees a message
+            // that has left the queue but not yet entered the gauge.
+            let _guard = self.enter();
             let Ok(message) = self.outbound_rx.try_recv() else {
                 break;
             };
-            let _guard = self.enter();
             did_work = true;
             charge(&message);
             self.stats.sent_messages.fetch_add(1, Ordering::Relaxed);

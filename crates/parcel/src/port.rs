@@ -75,6 +75,11 @@ pub trait ParcelInterceptor: Send + Sync {
     fn submit(&self, parcel: Parcel);
     /// Flush any internally queued parcels immediately.
     fn flush(&self);
+    /// Parcels this interceptor holds that have not yet reached the
+    /// [`SendPath`] (quiescence counts them as in flight).
+    fn pending(&self) -> usize {
+        0
+    }
 }
 
 /// Schedules a closure as a lightweight task on the locality's scheduler.
@@ -407,6 +412,16 @@ impl ParcelPort {
         for i in pending {
             i.flush();
         }
+    }
+
+    /// Parcels held by the installed interceptors — coalescing queues
+    /// waiting for their flush timer included.
+    pub fn interceptor_pending(&self) -> usize {
+        let mut pending = 0;
+        self.inner
+            .interceptors
+            .for_each(|_, i| pending += i.pending());
+        pending
     }
 
     /// Submit a parcel for transmission.

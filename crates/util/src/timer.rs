@@ -153,7 +153,7 @@ pub struct TimerAccuracy {
 /// ```
 pub struct TimerService {
     inner: Arc<Inner>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl TimerService {
@@ -175,7 +175,7 @@ impl TimerService {
             .expect("failed to spawn timer thread");
         TimerService {
             inner,
-            thread: Some(thread),
+            thread: Mutex::new(Some(thread)),
         }
     }
 
@@ -228,15 +228,32 @@ impl TimerService {
             stddev_error_us: stats.stddev(),
         }
     }
+
+    /// Stop the timer thread; timers still pending never fire. Joins the
+    /// thread unless called from it (a callback dropping the last handle):
+    /// a thread cannot join itself, and its loop exits on the shutdown
+    /// flag as soon as the callback returns. Idempotent; also called on
+    /// drop.
+    pub fn shutdown(&self) {
+        {
+            // Under the queue lock, so the flag cannot slip in between the
+            // loop's check and its condvar wait.
+            let _q = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
+        self.inner.cond.notify_all();
+        let Some(thread) = self.thread.lock().take() else {
+            return;
+        };
+        if thread.thread().id() != std::thread::current().id() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Drop for TimerService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.cond.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -416,6 +433,43 @@ mod tests {
             svc.arm_after(Duration::from_secs(60), || {});
         }
         drop(svc); // must not hang
+    }
+
+    #[test]
+    fn callback_dropping_the_last_handle_does_not_join_its_own_thread() {
+        let svc = Arc::new(TimerService::new("test-self-drop"));
+        let inner = Arc::downgrade(&svc.inner);
+        let last = Arc::new(Mutex::new(Some(Arc::clone(&svc))));
+        let dropped = Arc::new(AtomicBool::new(false));
+        let (l, d) = (Arc::clone(&last), Arc::clone(&dropped));
+        svc.arm_after(Duration::from_millis(2), move || {
+            // The service's last handle goes away on its own thread.
+            drop(l.lock().take());
+            d.store(true, Ordering::SeqCst);
+        });
+        drop(svc);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !dropped.load(Ordering::SeqCst) {
+            assert!(
+                Instant::now() < deadline,
+                "the callback died dropping the service"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The thread saw the shutdown flag and exited, releasing the state.
+        while inner.upgrade().is_some() {
+            assert!(Instant::now() < deadline, "the timer thread never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn shutdown_joins_the_thread_and_is_idempotent() {
+        let svc = TimerService::new("test-shutdown");
+        svc.arm_after(Duration::from_secs(60), || {});
+        svc.shutdown();
+        assert!(svc.thread.lock().is_none());
+        svc.shutdown();
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() {
         report.mean_iteration_secs(),
         report.parcels_counted,
         report.messages_counted,
-        report.checksum
+        report.per_rank.iter().map(|s| s.checksum.re).sum::<f64>()
     );
 
     rt.shutdown();

@@ -170,7 +170,7 @@ fn best_effort_wire_drop_of_a_coalesced_message_books_its_parcels() {
             .register(move |(): ()| {
                 h.fetch_add(1, Ordering::SeqCst);
             });
-        let control = rt
+        let _control = rt
             .enable_coalescing(
                 "dc::be-batched",
                 CoalescingParams::new(4, Duration::from_millis(2)),
@@ -182,9 +182,6 @@ fn best_effort_wire_drop_of_a_coalesced_message_books_its_parcels() {
                 ctx.apply(&act, 1, ());
             }
         });
-        // A partial batch waiting for its flush timer is outside the
-        // quiescence gauges; disabling flushes it.
-        rt.disable_coalescing(&control);
         assert!(
             rt.wait_quiescent(Duration::from_secs(30)),
             "[{name}] batched best-effort traffic stalled quiescence"
@@ -224,18 +221,13 @@ fn coalesce_mailbox_delivers_the_final_value_under_chaos() {
                 ctx.apply(&act, 1, v);
             }
         });
-        // The mailbox slot is outside the quiescence gauges until its
-        // flush timer fires; poll for the final value instead.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while max_seen.load(Ordering::SeqCst) != UPDATES {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "[{name}] final value never arrived (max {})",
-                max_seen.load(Ordering::SeqCst)
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Quiescence covers the mailbox slot until its flush timer fires.
         assert!(rt.wait_quiescent(Duration::from_secs(30)));
+        assert_eq!(
+            max_seen.load(Ordering::SeqCst),
+            UPDATES,
+            "[{name}] final value never arrived"
+        );
         let seen = seen.lock().clone();
         // Newest-wins collapsed the burst: far fewer deliveries than
         // updates, no duplicates, and the coalescing counters saw it.
@@ -292,7 +284,11 @@ fn best_effort_flood_past_backlog_bound_still_quiesces() {
         "shed parcels were counted against quiescence"
     );
     let delivered = hits.load(Ordering::SeqCst);
-    let dropped = int_counter(&rt, 0, "/network/best-effort-dropped") as u64;
+    // Sheds consume parcel ids, so a frame overtaken by a concurrent pump
+    // can land more than the dedup window behind its successor: the
+    // receiver then drops it as stale and books it on its own side.
+    let dropped = (int_counter(&rt, 0, "/network/best-effort-dropped")
+        + int_counter(&rt, 1, "/network/best-effort-dropped")) as u64;
     assert!(dropped > 0, "the backlog bound never shed");
     assert_eq!(
         delivered + dropped,

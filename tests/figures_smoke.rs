@@ -1,10 +1,15 @@
 //! Miniature versions of the paper's figure experiments, asserting the
 //! *shapes* the paper reports (full-size regeneration lives in the
 //! `repro` binary of `rpx-bench`).
+//!
+//! Every test here times wall-clock runs against each other, so they
+//! take one file-level lock and run one at a time: run in parallel they
+//! would time each other instead of the runtime.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use rpx::{CoalescingParams, LinkModel};
+use rpx::{CoalescingParams, LinkModel, TransportKind};
 use rpx_apps::driver::{boot, parquet_repeats};
 use rpx_apps::parquet::{run_parquet, ParquetConfig};
 use rpx_apps::toy::{run_toy, ToyConfig};
@@ -20,10 +25,24 @@ fn link() -> LinkModel {
     }
 }
 
+fn sim() -> TransportKind {
+    TransportKind::Sim(link())
+}
+
+/// Held for a whole test: one timed test at a time. A failed test
+/// poisons the lock; the others still run.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TIMED: Mutex<()> = Mutex::new(());
+    TIMED
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Fig. 5 shape: for the dependency-free toy app, more coalescing is
 /// monotonically (modulo noise) better; 128 beats 1 decisively.
 #[test]
 fn fig5_shape_toy_improves_with_nparcels() {
+    let _timed = one_at_a_time();
     let time_at = |n: usize| {
         let cfg = ToyConfig {
             numparcels: 500,
@@ -32,7 +51,7 @@ fn fig5_shape_toy_improves_with_nparcels() {
             coalescing: Some(CoalescingParams::new(n, Duration::from_micros(4000))),
             nparcels_schedule: None,
         };
-        let rt = boot(2, link());
+        let rt = boot(2, sim());
         let r = run_toy(&rt, &cfg).unwrap();
         rt.shutdown();
         r.mean_phase_secs()
@@ -48,6 +67,7 @@ fn fig5_shape_toy_improves_with_nparcels() {
 /// coalescing beats both disabled and oversized queues.
 #[test]
 fn fig6_shape_parquet_prefers_moderate_coalescing() {
+    let _timed = one_at_a_time();
     let time_at = |n: usize| {
         let cfg = ParquetConfig {
             nc: 8,
@@ -55,7 +75,7 @@ fn fig6_shape_parquet_prefers_moderate_coalescing() {
             coalescing: Some(CoalescingParams::new(n, Duration::from_micros(4000))),
             compute_per_iteration: Duration::from_micros(500),
         };
-        let rt = boot(4, link());
+        let rt = boot(4, sim());
         let r = run_parquet(&rt, &cfg).unwrap();
         rt.shutdown();
         r.mean_iteration_secs()
@@ -73,6 +93,7 @@ fn fig6_shape_parquet_prefers_moderate_coalescing() {
 /// nparcels = 1 and is slower than a real configuration.
 #[test]
 fn fig8_band_tiny_interval_disables_coalescing() {
+    let _timed = one_at_a_time();
     let run = |nparcels: usize, interval_us: u64| {
         let cfg = ToyConfig {
             numparcels: 400,
@@ -84,7 +105,7 @@ fn fig8_band_tiny_interval_disables_coalescing() {
             )),
             nparcels_schedule: None,
         };
-        let rt = boot(2, link());
+        let rt = boot(2, sim());
         let r = run_toy(&rt, &cfg).unwrap();
         rt.shutdown();
         (r.mean_phase_secs(), r.avg_parcels_per_message)
@@ -104,6 +125,7 @@ fn fig8_band_tiny_interval_disables_coalescing() {
 /// instantaneous overhead; switching to worse parameters raises it.
 #[test]
 fn fig9_shape_overhead_follows_midrun_parameter_changes() {
+    let _timed = one_at_a_time();
     let cfg = ToyConfig {
         numparcels: 600,
         phases: 2,
@@ -111,7 +133,7 @@ fn fig9_shape_overhead_follows_midrun_parameter_changes() {
         coalescing: Some(CoalescingParams::new(1, Duration::from_micros(2000))),
         nparcels_schedule: Some(vec![1, 128]),
     };
-    let rt = boot(2, link());
+    let rt = boot(2, sim());
     let improving = run_toy(&rt, &cfg).unwrap();
     rt.shutdown();
     assert!(
@@ -131,7 +153,7 @@ fn fig9_shape_overhead_follows_midrun_parameter_changes() {
         coalescing: Some(CoalescingParams::new(128, Duration::from_micros(2000))),
         nparcels_schedule: Some(vec![128, 1]),
     };
-    let rt = boot(2, link());
+    let rt = boot(2, sim());
     let degrading = run_toy(&rt, &cfg).unwrap();
     rt.shutdown();
     assert!(
@@ -150,6 +172,7 @@ fn fig9_shape_overhead_follows_midrun_parameter_changes() {
 /// CI box but still require single-digit-ish stability.
 #[test]
 fn rsd_of_repeated_parquet_runs_is_bounded() {
+    let _timed = one_at_a_time();
     let cfg = ParquetConfig {
         nc: 6,
         iterations: 2,

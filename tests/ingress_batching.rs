@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use rpx::{CoalescingParams, CounterValue, TransportKind};
-use rpx_apps::driver::boot_on;
+use rpx_apps::driver::boot;
 use rpx_apps::toy::{run_toy, ToyConfig};
 
 fn toy_config() -> ToyConfig {
@@ -39,7 +39,7 @@ struct BatchedRun {
 }
 
 fn run_batched(kind: TransportKind) -> BatchedRun {
-    let rt = boot_on(2, kind);
+    let rt = boot(2, kind);
     let report = run_toy(&rt, &toy_config()).expect("toy run failed");
     rt.wait_quiescent(Duration::from_secs(30));
     // The toy app sends loc 0 -> loc 1, so locality 1 is where coalesced
@@ -113,7 +113,7 @@ fn lco_results_identical_with_batched_ingress() {
     // Same computation over both transports, through the batched receive
     // path: the values (not just the counts) must match the closed form.
     fn sum_of_cubes(kind: TransportKind) -> u64 {
-        let rt = boot_on(2, kind);
+        let rt = boot(2, kind);
         let act = rt.action("ingress::cube").register(|x: u64| x * x * x);
         let total = rt.run_on(0, move |ctx| {
             let futures: Vec<_> = (1..=24u64).map(|i| ctx.async_action(&act, 1, i)).collect();

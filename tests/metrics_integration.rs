@@ -31,7 +31,7 @@ fn overhead_and_time_are_positively_correlated_across_sweep() {
         coalescing: None,
         nparcels_schedule: None,
     };
-    let outcomes = toy_sweep(&base, link(), &[1, 4, 16, 64], &[4000]);
+    let outcomes = toy_sweep(&base, link(), &[1, 4, 16, 64], &[4000], None);
     let points = to_points(&outcomes);
     let r = overhead_time_correlation(&points).expect("enough variance");
     assert!(

@@ -1,9 +1,9 @@
-//! Multi-process parity suite: the rank-aware drivers must produce
-//! bit-for-bit identical deterministic outcomes (parcel counts, result
-//! checksums accumulated in send order) across all three deployment
-//! modes — in-process Sim, in-process TCP, and N OS processes connected
-//! by the rank handshake — and the launcher must propagate worker
-//! failures instead of hanging.
+//! Multi-process parity suite: the drivers that draw the figures
+//! (`run_toy`, `run_parquet`) must produce bit-for-bit identical
+//! deterministic outcomes (parcel counts, result checksums accumulated in
+//! send order) across all three deployment modes — in-process Sim,
+//! in-process TCP, and N OS processes connected by the rank handshake —
+//! and the launcher must propagate worker failures instead of hanging.
 //!
 //! The N-process cases shell out to the `repro` binary (`launch` /
 //! `worker` subcommands), discovered in this test binary's target
@@ -18,10 +18,12 @@ use std::process::Command;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use rpx::{BootstrapMode, Runtime, RuntimeConfig, ShmTuning, Topology, TransportKind};
-use rpx_apps::{
-    run_parquet_rank, run_toy_rank, MultiprocParquetConfig, MultiprocToyConfig, RankStats,
+use rpx::{
+    BootstrapMode, CoalescingParams, Runtime, RuntimeConfig, ShmTuning, Topology, TransportKind,
 };
+use rpx_apps::parquet::{run_parquet, ParquetConfig};
+use rpx_apps::toy::{run_toy, ToyConfig};
+use rpx_apps::RankStats;
 
 /// Reserve `n` distinct loopback addresses the same way the launcher
 /// does: bind ephemeral listeners, record their addresses, drop them.
@@ -37,10 +39,24 @@ fn reserve_addrs(n: usize) -> Vec<SocketAddr> {
 
 /// The worker's toy configuration (`repro worker toy` at quick scale) —
 /// in-process comparison runs must drive the exact same traffic.
-fn worker_toy_cfg() -> MultiprocToyConfig {
-    MultiprocToyConfig {
+fn worker_toy_cfg() -> ToyConfig {
+    ToyConfig {
         numparcels: 2_000,
-        ..MultiprocToyConfig::default()
+        phases: 3,
+        bidirectional: true,
+        coalescing: Some(CoalescingParams::new(64, Duration::from_micros(2000))),
+        nparcels_schedule: None,
+    }
+}
+
+/// The worker's parquet configuration (`repro worker parquet` at quick
+/// scale).
+fn worker_parquet_cfg() -> ParquetConfig {
+    ParquetConfig {
+        nc: 8,
+        iterations: 3,
+        coalescing: Some(CoalescingParams::new(4, Duration::from_micros(2000))),
+        compute_per_iteration: Duration::from_millis(1),
     }
 }
 
@@ -126,15 +142,6 @@ fn counter_value(aggregate: &str, rank: u32, path: &str) -> Option<f64> {
     cell.split(',').nth(1)?.trim().parse().ok()
 }
 
-fn toy_cfg(numparcels: usize) -> MultiprocToyConfig {
-    MultiprocToyConfig {
-        numparcels,
-        phases: 2,
-        control_timeout: Duration::from_secs(20),
-        ..MultiprocToyConfig::default()
-    }
-}
-
 /// Boot one rank of an address-book cluster and run the toy driver.
 fn toy_rank_thread(
     rank: u32,
@@ -156,7 +163,12 @@ fn toy_rank_thread(
             ..RuntimeConfig::default()
         })
         .expect("rank boots");
-        let report = run_toy_rank(&rt, &toy_cfg(numparcels)).expect("toy run");
+        let cfg = ToyConfig {
+            numparcels,
+            phases: 2,
+            ..worker_toy_cfg()
+        };
+        let report = run_toy(&rt, &cfg).expect("toy run");
         rt.shutdown();
         report.per_rank
     })
@@ -184,10 +196,11 @@ fn address_book_cluster_boots_and_runs_in_process() {
     );
 }
 
-/// Fig. 5's premise, mode-independent: same parcels and checksums on the
-/// Sim fabric, on in-process TCP, and on the shared-memory backend, with
-/// coalescing visibly reducing message counts in all three (the counts
-/// themselves are timing-dependent and not compared across modes).
+/// Fig. 5's premise, mode-independent, on the driver that draws Fig. 5:
+/// same parcels and checksums on the Sim fabric, on in-process TCP, and
+/// on the shared-memory backend, with coalescing visibly reducing message
+/// counts in all three (the counts themselves are timing-dependent and
+/// not compared across modes).
 #[test]
 fn toy_outcomes_identical_across_sim_tcp_and_shm_in_process() {
     let run = |transport: TransportKind| {
@@ -195,7 +208,7 @@ fn toy_outcomes_identical_across_sim_tcp_and_shm_in_process() {
             transport,
             ..RuntimeConfig::default()
         });
-        let report = run_toy_rank(&rt, &worker_toy_cfg()).expect("toy run");
+        let report = run_toy(&rt, &worker_toy_cfg()).expect("toy run");
         rt.shutdown();
         report
     };
@@ -210,12 +223,11 @@ fn toy_outcomes_identical_across_sim_tcp_and_shm_in_process() {
         sim.per_rank, shm.per_rank,
         "sim/shm outcomes match bit-for-bit"
     );
-    let total_parcels: u64 = sim.per_rank.iter().map(|s| s.parcels_sent).sum();
     for (mode, report) in [("sim", &sim), ("tcp", &tcp), ("shm", &shm)] {
         assert!(
-            report.messages_counted > 0 && report.messages_counted < total_parcels,
-            "{mode}: coalescing reduced {total_parcels} parcels to fewer messages \
-             (got {})",
+            report.messages_counted > 0 && report.messages_counted < report.parcels_counted,
+            "{mode}: coalescing reduced {} parcels to fewer messages (got {})",
+            report.parcels_counted,
             report.messages_counted
         );
     }
@@ -228,7 +240,7 @@ fn toy_outcomes_identical_across_sim_tcp_and_shm_in_process() {
 #[test]
 fn toy_parity_across_process_boundary() {
     let rt = Runtime::new(RuntimeConfig::default());
-    let reference = run_toy_rank(&rt, &worker_toy_cfg()).expect("reference run");
+    let reference = run_toy(&rt, &worker_toy_cfg()).expect("reference run");
     rt.shutdown();
 
     let (code, _, aggregate) =
@@ -263,9 +275,9 @@ fn toy_parity_across_process_boundary() {
 /// deterministic per-rank outcome matches the all-in-one reference.
 #[test]
 fn parquet_parity_across_process_boundary() {
-    let cfg = MultiprocParquetConfig::default();
+    let cfg = worker_parquet_cfg();
     let rt = Runtime::new(RuntimeConfig::default());
-    let reference = run_parquet_rank(&rt, &cfg).expect("reference run");
+    let reference = run_parquet(&rt, &cfg).expect("reference run");
     rt.shutdown();
 
     let (code, _, aggregate) = run_launch(
@@ -297,7 +309,7 @@ fn parquet_parity_across_process_boundary() {
 #[test]
 fn toy_parity_across_shm_and_tcp_process_runs() {
     let rt = Runtime::new(RuntimeConfig::default());
-    let reference = run_toy_rank(&rt, &worker_toy_cfg()).expect("reference run");
+    let reference = run_toy(&rt, &worker_toy_cfg()).expect("reference run");
     rt.shutdown();
 
     let (shm_code, _, shm_agg) = run_launch(

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use rpx::{CounterError, TelemetryConfig, TransportKind};
-use rpx_apps::driver::boot_on;
+use rpx_apps::driver::boot;
 use rpx_apps::toy::{run_toy, ToyConfig};
 
 fn traffic() -> ToyConfig {
@@ -28,7 +28,7 @@ fn fast_sampling() -> TelemetryConfig {
 }
 
 fn lifecycle_on(kind: TransportKind) {
-    let rt = boot_on(2, kind);
+    let rt = boot(2, kind);
 
     let svc = rt.start_telemetry(0, fast_sampling()).expect("locality 0");
     assert!(svc.is_running());
@@ -75,7 +75,7 @@ fn sampler_lifecycle_on_tcp_loopback() {
 
 #[test]
 fn restart_after_stop_yields_fresh_running_service() {
-    let rt = boot_on(2, TransportKind::default());
+    let rt = boot(2, TransportKind::default());
     let first = rt.start_telemetry(0, fast_sampling()).expect("locality 0");
     first.stop();
     first.stop(); // stop is idempotent
@@ -90,7 +90,7 @@ fn restart_after_stop_yields_fresh_running_service() {
 
 #[test]
 fn ring_wraparound_keeps_most_recent_samples() {
-    let rt = boot_on(2, TransportKind::default());
+    let rt = boot(2, TransportKind::default());
     let svc = rt
         .start_telemetry(
             0,
@@ -131,7 +131,7 @@ fn ring_wraparound_keeps_most_recent_samples() {
 
 #[test]
 fn out_of_range_locality_is_a_typed_error() {
-    let rt = boot_on(2, TransportKind::default());
+    let rt = boot(2, TransportKind::default());
 
     match rt.query(99, "/threads/background-work") {
         Err(CounterError::NoSuchLocality {

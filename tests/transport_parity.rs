@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rpx::{CoalescingParams, CounterValue, Runtime, RuntimeConfig, TransportKind};
-use rpx_apps::driver::boot_on;
+use rpx_apps::driver::boot;
 use rpx_apps::toy::{run_toy, ToyConfig, ToyReport};
 use rpx_net::FaultPlan;
 
@@ -30,7 +30,7 @@ struct CounterSnapshot {
 }
 
 fn run_on(kind: TransportKind) -> (ToyReport, CounterSnapshot) {
-    let rt = boot_on(2, kind);
+    let rt = boot(2, kind);
     let report = run_toy(&rt, &toy_config()).expect("toy run failed");
     rt.wait_quiescent(Duration::from_secs(30));
     let int = |path: &str| match rt.query(0, path) {
@@ -83,7 +83,7 @@ fn tcp_lco_results_match_sim() {
     // The same computation must produce the same values over both
     // transports — LCO results, not just counts.
     fn sum_of_squares(kind: TransportKind) -> u64 {
-        let rt = boot_on(2, kind);
+        let rt = boot(2, kind);
         let act = rt.action("parity::sq").register(|x: u64| x * x);
         let total = rt.run_on(0, move |ctx| {
             let futures: Vec<_> = (1..=32u64).map(|i| ctx.async_action(&act, 1, i)).collect();
@@ -152,7 +152,7 @@ fn event_loop_counters_surface_on_tcp_and_stay_zero_on_sim() {
     // counter query path: nonzero after real traffic over TCP, zero on
     // the simulated fabric (which has no sockets to poll).
     fn snapshot(kind: TransportKind) -> (i64, i64, i64) {
-        let rt = boot_on(2, kind);
+        let rt = boot(2, kind);
         let _ = run_toy(&rt, &toy_config()).expect("toy run failed");
         rt.wait_quiescent(Duration::from_secs(30));
         let int = |path: &str| match rt.query(0, path) {
