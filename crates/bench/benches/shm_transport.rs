@@ -4,10 +4,11 @@
 //! or an SPSC ring in shared memory (two atomic cursor updates and a
 //! memcpy each side).
 //!
-//! * `pingpong` — one round trip of a small frame between two
-//!   localities; the per-iteration time is the RTT. This is the
+//! * `pingpong` — one round trip of a 64 B or a 64 KiB frame between two
+//!   localities; the per-iteration time is the RTT. At 64 B this is the
 //!   per-message software overhead the paper's coalescing amortises, so
-//!   shrinking it moves the whole fig. 5 family.
+//!   shrinking it moves the whole fig. 5 family; at 64 KiB it is the
+//!   per-byte cost (frame checksum, copies) coalescing cannot amortise.
 //! * `fan_in` — 64 source localities each land one frame on rank 0 per
 //!   round (`SHM_FAN_IN_CONNS` overrides), the event-loop stress shape.
 //!
@@ -30,7 +31,8 @@ fn fan_in_conns() -> usize {
 }
 
 /// Small ring so 65 localities' worth of heap segments stay cheap; a
-/// pingpong/fan-in frame is far below the ring's max record either way.
+/// pingpong/fan-in frame is below the ring's max record (half the ring)
+/// either way.
 fn shm_kind(ring_bytes: usize) -> TransportKind {
     TransportKind::Shm(ShmTuning { ring_bytes })
 }
@@ -77,32 +79,34 @@ fn wait_hits(pair: &Pair, hits: &AtomicU64, target: u64) {
 }
 
 fn bench_pingpong(c: &mut Criterion) {
-    let payload = Bytes::from(vec![0x42u8; 64]);
     let mut group = c.benchmark_group("shm_pingpong");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(3));
-    for (label, kind) in [
-        ("shm", shm_kind(256 * 1024)),
-        ("tcp", TransportKind::TcpLoopback),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, 64), &kind, |bench, kind| {
-            let p = pair(kind);
-            // Warm the path (connection establishment / ring touch).
-            p.a.send(Message::new(0, 1, MessageKind::Parcel, payload.clone()));
-            wait_hits(&p, &p.b_hits, 1);
-            bench.iter_custom(|iters| {
-                let a0 = p.a_hits.load(Ordering::SeqCst);
-                let b0 = p.b_hits.load(Ordering::SeqCst);
-                let start = Instant::now();
-                for i in 0..iters {
-                    p.a.send(Message::new(0, 1, MessageKind::Parcel, payload.clone()));
-                    wait_hits(&p, &p.b_hits, b0 + i + 1);
-                    p.b.send(Message::new(1, 0, MessageKind::Parcel, payload.clone()));
-                    wait_hits(&p, &p.a_hits, a0 + i + 1);
-                }
-                start.elapsed()
+    for size in [64, 64 * 1024] {
+        let payload = Bytes::from(vec![0x42u8; size]);
+        for (label, kind) in [
+            ("shm", shm_kind(256 * 1024)),
+            ("tcp", TransportKind::TcpLoopback),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, size), &kind, |bench, kind| {
+                let p = pair(kind);
+                // Warm the path (connection establishment / ring touch).
+                p.a.send(Message::new(0, 1, MessageKind::Parcel, payload.clone()));
+                wait_hits(&p, &p.b_hits, 1);
+                bench.iter_custom(|iters| {
+                    let a0 = p.a_hits.load(Ordering::SeqCst);
+                    let b0 = p.b_hits.load(Ordering::SeqCst);
+                    let start = Instant::now();
+                    for i in 0..iters {
+                        p.a.send(Message::new(0, 1, MessageKind::Parcel, payload.clone()));
+                        wait_hits(&p, &p.b_hits, b0 + i + 1);
+                        p.b.send(Message::new(1, 0, MessageKind::Parcel, payload.clone()));
+                        wait_hits(&p, &p.a_hits, a0 + i + 1);
+                    }
+                    start.elapsed()
+                });
             });
-        });
+        }
     }
     group.finish();
 }

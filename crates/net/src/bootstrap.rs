@@ -36,10 +36,12 @@
 //! `host` is the sender's boot-time [`HostId`] — version 2 of the
 //! protocol added it so every rank learns which peers share its host
 //! (the shared-memory transport keys on this; a v1 peer gets a typed
-//! [`BootstrapError::BadVersion`]). Validation failures are answered
-//! with an `ERROR` frame (so the losing worker gets a typed
-//! [`BootstrapError`], not a bare timeout) and every error path drops
-//! its listeners before returning — no leaked sockets.
+//! [`BootstrapError::BadVersion`]). Version 3 leaves these frames as they
+//! were and marks the data frames' checksum change, so ranks whose
+//! frames would fail each other's checksum never boot together.
+//! Validation failures are answered with an `ERROR` frame (so the losing
+//! worker gets a typed [`BootstrapError`], not a bare timeout) and every
+//! error path drops its listeners before returning — no leaked sockets.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -50,8 +52,10 @@ use std::time::{Duration, Instant};
 /// Magic tag leading every bootstrap frame (`"RPXB"` big-endian).
 pub const BOOTSTRAP_MAGIC: u32 = 0x5250_5842;
 /// Version of the bootstrap handshake protocol (v2 added per-rank
-/// [`HostId`]s to `HELLO` and `BOOK` frames).
-pub const BOOTSTRAP_VERSION: u16 = 2;
+/// [`HostId`]s to `HELLO` and `BOOK` frames; v3 changed the data frames'
+/// checksum to XXH64, so a v2 rank is refused here instead of failing
+/// every frame's checksum).
+pub const BOOTSTRAP_VERSION: u16 = 3;
 
 const KIND_HELLO: u8 = 1;
 const KIND_BOOK: u8 = 2;
@@ -1167,27 +1171,31 @@ mod tests {
 
     #[test]
     fn wrong_version_is_a_typed_error() {
-        let rdv = free_addr();
-        let rank0 =
-            thread::spawn(move || TcpBootstrap::rendezvous(0, 2, rdv, Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(50));
-        let mut s = loop {
-            match TcpStream::connect(rdv) {
-                Ok(s) => break s,
-                Err(_) => thread::sleep(Duration::from_millis(10)),
-            }
-        };
-        // A hello from the future: right magic, version 99. The buffer
-        // starts with the 2-byte length prefix, so version sits at 6..8.
-        let mut frame = frame_header(KIND_HELLO, 8 + 7 + HostId::LEN);
-        frame[6..8].copy_from_slice(&99u16.to_le_bytes());
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.extend_from_slice(&2u32.to_le_bytes());
-        push_addr(&mut frame, free_addr());
-        frame.extend_from_slice(HostId::local().as_bytes());
-        s.write_all(&frame).unwrap();
-        let r0 = rank0.join().unwrap();
-        assert!(matches!(r0.unwrap_err(), BootstrapError::BadVersion(99)));
+        // The previous version (a rank built before the data frames'
+        // checksum changed) and one from the future.
+        for version in [BOOTSTRAP_VERSION - 1, 99] {
+            let rdv = free_addr();
+            let rank0 =
+                thread::spawn(move || TcpBootstrap::rendezvous(0, 2, rdv, Duration::from_secs(5)));
+            thread::sleep(Duration::from_millis(50));
+            let mut s = loop {
+                match TcpStream::connect(rdv) {
+                    Ok(s) => break s,
+                    Err(_) => thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            // Right magic, wrong version. The buffer starts with the
+            // 2-byte length prefix, so version sits at 6..8.
+            let mut frame = frame_header(KIND_HELLO, 8 + 7 + HostId::LEN);
+            frame[6..8].copy_from_slice(&version.to_le_bytes());
+            frame.extend_from_slice(&1u32.to_le_bytes());
+            frame.extend_from_slice(&2u32.to_le_bytes());
+            push_addr(&mut frame, free_addr());
+            frame.extend_from_slice(HostId::local().as_bytes());
+            s.write_all(&frame).unwrap();
+            let r0 = rank0.join().unwrap();
+            assert!(matches!(r0.unwrap_err(), BootstrapError::BadVersion(v) if v == version));
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl SimPort {
 
     /// Put `message` in flight towards its destination after the modelled
     /// delivery delay. A corrupted message round-trips the frame codec
-    /// with a flipped byte: it fails the destination's checksum exactly
+    /// with a flipped bit: it fails the destination's checksum exactly
     /// as it would on the TCP backend, so it is counted there as a
     /// decode failure and never delivered.
     fn put(&self, mut message: Message, corrupt: bool) {
