@@ -20,9 +20,6 @@
 //! * [`service`] — the skewed **open-loop service** workload: Zipf
 //!   destination choice plus 10× load swings, the evaluation driver for
 //!   per-destination adaptive coalescing and egress backpressure.
-//! * [`workloads`] — parameterised arrival-pattern generators (uniform,
-//!   bursty, sparse) used by the adaptive-controller evaluation and the
-//!   sparse-bypass ablation.
 //! * [`driver`] — what every driver shares (the per-rank outcome and its
 //!   `/app/*` parity counters) and the sweep harness running an
 //!   application across a grid of `(nparcels, interval)` configurations
@@ -44,7 +41,6 @@ pub mod parquet;
 pub mod service;
 pub mod statesync;
 pub mod toy;
-pub mod workloads;
 
 pub use alltoall::{run_alltoall, AllToAllConfig, AllToAllReport};
 pub use driver::{parquet_sweep, toy_sweep, RankStats, SweepOutcome};
@@ -56,4 +52,3 @@ pub use statesync::{
     run_statesync, run_statesync_pair, StateSyncConfig, StateSyncPair, StateSyncReport,
 };
 pub use toy::{ToyConfig, ToyReport};
-pub use workloads::ArrivalPattern;

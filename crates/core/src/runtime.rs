@@ -994,7 +994,10 @@ impl Runtime {
         let _guard = self.registration.lock();
         for locality in &self.localities {
             let table = Arc::clone(&locality.lco_table);
-            let id = locality.actions.register(
+            // Continuation delivery is short and non-blocking: it is a
+            // direct action (HPX's term), run inline on the receive path
+            // so waiters make progress even when all workers are blocked.
+            let id = locality.actions.register_direct(
                 "rpx::set-lco",
                 Arc::new(move |args| {
                     let (gid, result) = decode_continuation_args(args)?;
@@ -1005,10 +1008,6 @@ impl Runtime {
                 }),
             );
             locality.port.set_continuation_action(id);
-            // Continuation delivery is short and non-blocking: run it
-            // inline on the receive path (HPX "direct action") so waiters
-            // make progress even when all workers are blocked.
-            locality.port.set_direct(id);
         }
     }
 
@@ -1608,6 +1607,27 @@ mod tests {
             rt.localities[1].actions.order_hash()
         );
         rt.shutdown();
+    }
+
+    #[test]
+    fn shm_ring_size_off_the_cache_line_is_a_boot_error() {
+        let boot = |ring_bytes| {
+            Runtime::try_new(RuntimeConfig {
+                transport: TransportKind::Shm(rpx_net::ShmTuning { ring_bytes }),
+                ..RuntimeConfig::small_test()
+            })
+        };
+        // Too small for a ring, and a size that would misalign the
+        // second ring header's atomics.
+        for bad in [0, 8, 1001] {
+            assert!(
+                matches!(boot(bad), Err(RuntimeError::Boot(_))),
+                "ring_bytes {bad} booted"
+            );
+        }
+        for good in [1024, 64 * 1024, rpx_net::ShmTuning::default().ring_bytes] {
+            boot(good).expect("a multiple of 64 boots").shutdown();
+        }
     }
 
     #[test]

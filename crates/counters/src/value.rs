@@ -1,7 +1,5 @@
 //! Counter query results.
 
-use std::time::SystemTime;
-
 /// The value returned by querying a counter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CounterValue {
@@ -40,15 +38,6 @@ impl CounterValue {
             _ => None,
         }
     }
-}
-
-/// A timestamped counter observation, as returned by the sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimestampedValue {
-    /// Wall-clock time of the observation.
-    pub at: SystemTime,
-    /// The observed value.
-    pub value: CounterValue,
 }
 
 #[cfg(test)]

@@ -13,13 +13,17 @@
 //! Each `(lo, hi)` pair of co-located ranks shares one segment holding a
 //! small header and two SPSC byte rings (`lo→hi` then `hi→lo`); a rank
 //! sending to itself uses the first ring both ways. The ring protocol
-//! itself lives in `rpx_util::sync` and runs identically over a heap
-//! allocation (ranks hosted by one process) or an `mmap`ed file on
+//! lives in the private `ring` submodule, whose halves only
+//! `ShmSegment::rings` builds, and runs identically over a heap
+//! segment (ranks hosted by one process) or an `mmap`ed file on
 //! `/dev/shm` (one process per rank):
 //!
 //! ```text
 //! [SegHdr 128 B][RingHdr 192 B][lo→hi data][RingHdr 192 B][hi→lo data]
 //! ```
+//!
+//! Every header starts on a 64-byte boundary, which is why
+//! [`ShmTuning::ring_bytes`] must be a positive multiple of 64.
 //!
 //! ## Creation race
 //!
@@ -64,12 +68,15 @@ use bytes::Bytes;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use rpx_util::poll::{BellRinger, Doorbell, Interest, Poller};
-use rpx_util::sync::{RingPush, SpscConsumer, SpscProducer, RING_HDR_BYTES};
 
 use crate::bootstrap::TcpBootstrap;
 use crate::frame::{check_body_len, decode_frame_in_place};
 use crate::message::Message;
 use crate::port::PortFront;
+
+mod ring;
+
+use ring::{Ring, RingPush, SpscConsumer, SpscProducer, RING_HDR_BYTES};
 
 /// Magic stamped into every segment header (`"rpxshm\0\1"`).
 pub const SHM_MAGIC: u64 = u64::from_le_bytes(*b"rpxshm\x00\x01");
@@ -105,10 +112,25 @@ const SHM_DRAIN_SPINS: u32 = 64;
 /// Tuning for the shared-memory transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShmTuning {
-    /// Data bytes per ring direction. Frames whose wire size exceeds
-    /// half of this ride the TCP fallback instead (a ring must fit a
-    /// record with wrap padding to spare).
+    /// Data bytes per ring direction: a positive multiple of 64, or the
+    /// transport refuses to build (`InvalidInput`). Frames whose wire
+    /// size exceeds half of this ride the TCP fallback instead (a ring
+    /// must fit a record with wrap padding to spare).
     pub ring_bytes: usize,
+}
+
+/// `ring_bytes` if it is a positive multiple of 64, else `InvalidInput`:
+/// any other size would put the `hi→lo` ring header's atomic cursors on
+/// a misaligned address.
+pub(crate) fn check_ring_bytes(ring_bytes: usize) -> io::Result<usize> {
+    if ring_bytes > 0 && ring_bytes.is_multiple_of(64) {
+        Ok(ring_bytes)
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("shm ring_bytes {ring_bytes} is not a positive multiple of 64"),
+        ))
+    }
 }
 
 impl Default for ShmTuning {
@@ -142,9 +164,10 @@ struct SegHdr {
 
 const _: () = assert!(std::mem::size_of::<SegHdr>() <= SEG_HDR_BYTES);
 
-/// Total file size of a segment with `ring_bytes` data bytes per ring.
-fn segment_len(ring_bytes: usize) -> usize {
-    SEG_HDR_BYTES + 2 * (RING_HDR_BYTES + ring_bytes)
+/// Byte offset of ring `i`'s header (0 = `lo→hi`, 1 = `hi→lo`; 2 is
+/// the end of the segment).
+fn ring_offset(ring_bytes: usize, i: usize) -> usize {
+    SEG_HDR_BYTES + i * (RING_HDR_BYTES + ring_bytes)
 }
 
 enum Backing {
@@ -190,9 +213,14 @@ unsafe impl Sync for ShmSegment {}
 
 impl ShmSegment {
     /// A process-local segment (both ranks hosted by this process): no
-    /// file, no attach protocol, nothing to leak.
+    /// file, no attach protocol, nothing to leak. This is the only heap
+    /// allocation of ring memory.
+    ///
+    /// # Panics
+    /// If `ring_bytes` is not a positive multiple of 64.
     pub fn heap(ring_bytes: usize) -> Arc<ShmSegment> {
-        let len = segment_len(ring_bytes);
+        let ring_bytes = check_ring_bytes(ring_bytes).expect("segment geometry");
+        let len = ring_offset(ring_bytes, 2);
         let layout = std::alloc::Layout::from_size_align(len, 64).expect("segment layout");
         // SAFETY: non-zero layout; zeroing makes the header and both
         // ring headers valid-empty.
@@ -211,7 +239,8 @@ impl ShmSegment {
     /// mapping it shared. `side` is 0 for the lower rank of the pair,
     /// 1 for the higher; the side's `attached` flag is set before
     /// returning. Linux only; other targets report `Unsupported` and
-    /// the caller falls back to TCP.
+    /// the caller falls back to TCP. A `ring_bytes` that is not a
+    /// positive multiple of 64 is `InvalidInput`.
     pub fn open_or_create(
         path: &Path,
         ring_bytes: usize,
@@ -227,7 +256,7 @@ impl ShmSegment {
         }
         #[cfg(target_os = "linux")]
         {
-            let len = segment_len(ring_bytes);
+            let len = ring_offset(check_ring_bytes(ring_bytes)?, 2);
             let created: Option<std::fs::File> = match std::fs::OpenOptions::new()
                 .read(true)
                 .write(true)
@@ -388,15 +417,16 @@ impl ShmSegment {
         rx: usize,
     ) -> (SpscProducer, SpscConsumer) {
         assert!(tx < 2 && rx < 2);
-        let mem: rpx_util::sync::RingMemory = Arc::new(Arc::clone(self));
-        let ring = |i: usize| {
-            self.base
-                .add(SEG_HDR_BYTES + i * (RING_HDR_BYTES + self.ring_bytes))
+        let (at, cap) = (|i| ring_offset(self.ring_bytes, i), self.ring_bytes);
+        // SAFETY: rings 0 and 1 lie inside the segment, whose zeroed
+        // ring headers are valid-empty; uniqueness is the caller's.
+        let (tx, rx) = unsafe {
+            (
+                Ring::carve(Arc::clone(self), at(tx), cap),
+                Ring::carve(Arc::clone(self), at(rx), cap),
+            )
         };
-        (
-            SpscProducer::from_raw(ring(tx), self.ring_bytes, Some(Arc::clone(&mem))),
-            SpscConsumer::from_raw(ring(rx), self.ring_bytes, Some(mem)),
-        )
+        (SpscProducer::new(tx), SpscConsumer::new(rx))
     }
 }
 
@@ -1056,17 +1086,6 @@ mod tests {
         lo_rx.pop_each(8, |r| got.push(r.to_vec()));
         assert_eq!(got, vec![b"down".to_vec(), b"up".to_vec()]);
         assert!(!seg.maybe_unlink_when_attached(), "heap: nothing to unlink");
-    }
-
-    #[test]
-    fn self_rings_loop_back() {
-        let seg = ShmSegment::heap(1024);
-        // SAFETY: sole occupant of the self ring.
-        let (mut tx, mut rx) = unsafe { seg.rings(0, 0) };
-        tx.try_push(b"me");
-        let mut got = Vec::new();
-        rx.pop_each(1, |r| got = r.to_vec());
-        assert_eq!(got, b"me");
     }
 
     #[cfg(target_os = "linux")]

@@ -80,7 +80,7 @@ use crate::bootstrap::TcpBootstrap;
 use crate::frame::{check_body_len, corrupt_frame, decode_frame_in_place, encode_frame};
 use crate::message::Message;
 use crate::port::{PortFront, Wire};
-use crate::shm::{ShmLinks, ShmPump, ShmTuning};
+use crate::shm::{check_ring_bytes, ShmLinks, ShmPump, ShmTuning};
 use crate::transport::{Transport, TransportPort};
 
 /// Frames batched into one `writev` call.
@@ -251,15 +251,19 @@ impl TcpTransport {
     ///
     /// # Errors
     /// Fails if the poller cannot be created or a listener rejects
-    /// non-blocking mode. Shared-memory setup failures are *not* errors:
-    /// affected links quietly fall back to TCP.
+    /// non-blocking mode, and with `InvalidInput` if `shm`'s ring size is
+    /// not a positive multiple of 64. Shared-memory setup failures are
+    /// *not* errors: affected links quietly fall back to TCP.
     pub fn from_bootstrap(
         bootstrap: TcpBootstrap,
         shm: Option<ShmTuning>,
     ) -> std::io::Result<Arc<Self>> {
         // Same-host wiring needs the bootstrap's host identities, so it
         // runs before the destructure consumes them.
-        let mut shm = shm.map_or_else(HashMap::new, |t| ShmLinks::wire(&bootstrap, t.ring_bytes));
+        let mut shm = match shm {
+            Some(t) => ShmLinks::wire(&bootstrap, check_ring_bytes(t.ring_bytes)?),
+            None => HashMap::new(),
+        };
         let TcpBootstrap { local, addrs, .. } = bootstrap;
 
         let localities = addrs.len() as u32;

@@ -2,8 +2,9 @@
 //!
 //! An *action* is a function that may be invoked remotely (HPX's
 //! `HPX_PLAIN_ACTION`). Actions are registered by name on every locality
-//! (in our in-process cluster, once in a shared registry) and addressed on
-//! the wire by their dense [`ActionId`]. Handlers at this layer are
+//! — each hosted locality has its own registry, and the runtime mirrors
+//! every registration into all of them in the same order — and addressed
+//! on the wire by their dense [`ActionId`]. Handlers at this layer are
 //! byte-level: argument decoding and result encoding are done by the typed
 //! wrappers in the `rpx` core crate.
 
@@ -15,7 +16,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use rpx_net::DeliveryClass;
 use rpx_serialize::WireError;
-use rpx_util::{BitTable, SlotTable};
+use rpx_util::SlotTable;
 
 /// Dense identifier of a registered action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,6 +26,18 @@ pub struct ActionId(pub u32);
 /// runs, and returns the encoded result.
 pub type RawHandler = Arc<dyn Fn(Bytes) -> Result<Bytes, WireError> + Send + Sync>;
 
+/// One registered action: its handler, and the delivery class and direct
+/// flag the parcel port reads on every send and receive. Published as
+/// one table entry, so a reader that finds the handler finds the class
+/// and flag it was registered with.
+struct Action {
+    handler: RawHandler,
+    class: DeliveryClass,
+    /// Received parcels run inline on the pumping thread instead of
+    /// becoming tasks (HPX "direct actions").
+    direct: bool,
+}
+
 /// Registration-time metadata (cold; mutex-protected).
 #[derive(Default)]
 struct Meta {
@@ -32,20 +45,18 @@ struct Meta {
     by_name: HashMap<String, ActionId>,
 }
 
-/// The table of registered actions, shared by all localities.
+/// The table of registered actions of one locality, shared by every
+/// port that dispatches them.
 ///
-/// `handler` sits on the receive path of every parcel and `class` on
-/// both the send and the receive path, so both read lock-free tables;
-/// names and the by-name index are registration-time-only and stay
-/// behind a mutex.
+/// `handler` and `is_direct` sit on the receive path of every parcel and
+/// `class` on both the send and the receive path, so all three read one
+/// lock-free [`SlotTable`] entry by reference — no lock and no refcount
+/// traffic. Names and the by-name index are registration-time-only and
+/// stay behind a mutex.
 #[derive(Default)]
 pub struct ActionRegistry {
-    handlers: SlotTable<dyn Fn(Bytes) -> Result<Bytes, WireError> + Send + Sync>,
-    /// The delivery-class table — the only one: two bits per action at
-    /// `2 * id`. Bit 0 set means "not Lossless", so the common Lossless
-    /// read is a single bit test; bit 1 then tells Coalesce from
-    /// BestEffort.
-    classes: BitTable,
+    /// Indexed by `ActionId`; the only class and direct-flag table.
+    actions: SlotTable<Action>,
     meta: Mutex<Meta>,
     count: AtomicUsize,
 }
@@ -81,6 +92,27 @@ impl ActionRegistry {
         class: DeliveryClass,
         handler: RawHandler,
     ) -> ActionId {
+        self.insert(name, class, false, handler)
+    }
+
+    /// Register a *direct* action: received parcels for it run inline on
+    /// the pumping (background) thread instead of becoming tasks, on
+    /// every port that dispatches through this registry. Only suitable
+    /// for short, non-blocking handlers; direct actions are Lossless.
+    ///
+    /// # Panics
+    /// Panics if the name is already registered.
+    pub fn register_direct(&self, name: &str, handler: RawHandler) -> ActionId {
+        self.insert(name, DeliveryClass::Lossless, true, handler)
+    }
+
+    fn insert(
+        &self,
+        name: &str,
+        class: DeliveryClass,
+        direct: bool,
+        handler: RawHandler,
+    ) -> ActionId {
         let mut meta = self.meta.lock();
         assert!(
             !meta.by_name.contains_key(name),
@@ -89,19 +121,12 @@ impl ActionRegistry {
         let id = ActionId(meta.names.len() as u32);
         meta.names.push(name.to_string());
         meta.by_name.insert(name.to_string(), id);
-        // Class bits land before the handler is published, so whoever can
-        // dispatch the action also reads its final class.
-        let bit = id.0 as usize * 2;
-        match class {
-            DeliveryClass::Lossless => {}
-            DeliveryClass::BestEffort => self.classes.set(bit),
-            DeliveryClass::Coalesce => {
-                // Distinguishing bit first: no reader sees BestEffort.
-                self.classes.set(bit + 1);
-                self.classes.set(bit);
-            }
-        }
-        self.handlers.set(id.0 as usize, handler);
+        let action = Action {
+            handler,
+            class,
+            direct,
+        };
+        self.actions.set(id.0 as usize, Arc::new(action));
         self.count.fetch_add(1, Ordering::Release);
         id
     }
@@ -116,14 +141,16 @@ impl ActionRegistry {
     /// [`DeliveryClass::Lossless`], the default contract.
     #[inline]
     pub fn class(&self, id: ActionId) -> DeliveryClass {
-        let bit = id.0 as usize * 2;
-        if !self.classes.test(bit) {
-            DeliveryClass::Lossless
-        } else if self.classes.test(bit + 1) {
-            DeliveryClass::Coalesce
-        } else {
-            DeliveryClass::BestEffort
-        }
+        self.actions
+            .get(id.0 as usize)
+            .map_or(DeliveryClass::Lossless, |a| a.class)
+    }
+
+    /// Whether an action was registered direct (lock-free; hot on the
+    /// receive path). Unregistered ids are not direct.
+    #[inline]
+    pub(crate) fn is_direct(&self, id: ActionId) -> bool {
+        self.actions.get(id.0 as usize).is_some_and(|a| a.direct)
     }
 
     /// The name of an action.
@@ -134,7 +161,9 @@ impl ActionRegistry {
     /// The handler of an action (lock-free; hot on the receive path).
     #[inline]
     pub fn handler(&self, id: ActionId) -> Option<RawHandler> {
-        self.handlers.get(id.0 as usize)
+        self.actions
+            .get(id.0 as usize)
+            .map(|a| Arc::clone(&a.handler))
     }
 
     /// Number of registered actions.
@@ -250,6 +279,62 @@ mod tests {
         assert_eq!(reg.class(b), DeliveryClass::BestEffort);
         assert_eq!(reg.class(c), DeliveryClass::Coalesce);
         assert_eq!(reg.class(ActionId(9)), DeliveryClass::Lossless);
+        let d = reg.register_direct("direct", echo_handler());
+        assert!(reg.is_direct(d));
+        assert_eq!(reg.class(d), DeliveryClass::Lossless);
+        assert!(![a, b, c, ActionId(9)].iter().any(|&id| reg.is_direct(id)));
+    }
+
+    #[test]
+    fn direct_flag_stays_out_of_the_order_hash() {
+        // Direct is a local dispatch choice, not part of the wire
+        // contract ranks must agree on: it leaves the hash unchanged.
+        let a = ActionRegistry::new();
+        a.register("app", echo_handler());
+        a.register_direct("rpx::set-lco", echo_handler());
+        let b = ActionRegistry::new();
+        b.register("app", echo_handler());
+        b.register("rpx::set-lco", echo_handler());
+        assert_eq!(a.order_hash(), b.order_hash());
+    }
+
+    #[test]
+    fn racing_readers_see_each_handler_with_its_own_class() {
+        // Every handler answers with the class it was registered under;
+        // readers racing the registrations must find that answer equal
+        // to `class(id)` whenever the handler is visible at all.
+        const N: u32 = 1_500;
+        let classes = [
+            DeliveryClass::Lossless,
+            DeliveryClass::BestEffort,
+            DeliveryClass::Coalesce,
+        ];
+        let reg = ActionRegistry::new();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let (reg, done) = (Arc::clone(&reg), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        for id in (0..N).map(ActionId) {
+                            if let Some(handler) = reg.handler(id) {
+                                let tag = handler(Bytes::new()).unwrap();
+                                assert_eq!(tag[0], reg.class(id) as u8, "{id:?}");
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for i in 0..N {
+            let class = classes[i as usize % 3];
+            let tag = Bytes::from(vec![class as u8]);
+            reg.register_with_class(&format!("a{i}"), class, Arc::new(move |_| Ok(tag.clone())));
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! background time) and drives the fabric's send/receive pumps.
 //!
 //! The send fast path is lock-free and allocation-free in steady state:
-//! the interceptor table, the direct-action set and the registry's class
-//! table are read with plain `Acquire` loads ([`SlotTable`]/[`BitTable`]),
-//! per-class admission is one call into the private `class` module, hooks
-//! live in [`ArcCell`]s, single-parcel batches store their parcel inline
-//! (no buffer at all), and the egress queue is drained in one sweep per pump.
+//! the interceptor table and the registry's action entries (class and
+//! direct flag beside each handler) are [`SlotTable`]s read by reference
+//! with plain `Acquire` loads, per-class admission is one call into the
+//! private `class` module, hooks live in [`ArcCell`]s, single-parcel
+//! batches store their parcel inline (no buffer at all), and the egress
+//! queue is drained in one sweep per pump.
 //!
 //! ## Receive path
 //!
@@ -27,8 +28,9 @@
 //! coalesced message are handed to the scheduler as *one* batch through
 //! the [`BatchTaskSpawner`] seam (one admission per message — the
 //! receive-side dual of send-side coalescing), reusing a thread-local
-//! scratch vector across pumps. Direct actions always run inline on the
-//! pumping thread. If a parcel carries a continuation, the result is
+//! scratch vector across pumps. Actions registered direct
+//! ([`ActionRegistry::register_direct`]) always run inline on the pumping
+//! thread. If a parcel carries a continuation, the result is
 //! shipped back as a continuation parcel addressed to the origin's LCO.
 
 use std::cell::RefCell;
@@ -42,7 +44,7 @@ use parking_lot::Mutex;
 use rpx_agas::Gid;
 use rpx_net::{Message, MessageKind, TransportPort};
 use rpx_serialize::{ArchiveReader, ArchiveWriter, WireError};
-use rpx_util::sync::{ArcCell, BitTable, SlotTable};
+use rpx_util::sync::{ArcCell, SlotTable};
 use rpx_util::{IdAllocator, LogHistogram};
 
 use crate::action::{ActionId, ActionRegistry};
@@ -239,10 +241,6 @@ pub(crate) struct Inner {
     /// Per-action send hooks, indexed by `ActionId` — lock-free reads on
     /// every `send_parcel`.
     interceptors: SlotTable<dyn ParcelInterceptor>,
-    /// Actions executed inline on the receive path instead of being
-    /// spawned as tasks (HPX "direct actions"); used for cheap runtime
-    /// internals like continuation delivery.
-    direct_actions: BitTable,
     /// Receive-side BestEffort dedup and Coalesce newest-wins state.
     pub(crate) recv: RecvFilters,
     pub(crate) egress: EgressQueue,
@@ -302,7 +300,6 @@ impl ParcelPort {
             net,
             config,
             interceptors: SlotTable::new(),
-            direct_actions: BitTable::new(),
             recv: RecvFilters::default(),
             egress: EgressQueue::new(),
             spawner: ArcCell::new(),
@@ -386,13 +383,6 @@ impl ParcelPort {
         self.inner
             .continuation_action
             .store(action.0, Ordering::Release);
-    }
-
-    /// Mark an action as *direct*: received parcels for it run inline on
-    /// the pumping (background) thread instead of becoming tasks. Only
-    /// suitable for short, non-blocking handlers.
-    pub fn set_direct(&self, action: ActionId) {
-        self.inner.direct_actions.set(action.0 as usize);
     }
 
     /// This port's [`SendPath`] for an interceptor installed *on this
@@ -648,7 +638,7 @@ fn deliver_single(inner: &Arc<Inner>, parcel: Parcel) {
         return;
     }
     let weak = Arc::downgrade(inner);
-    if inner.direct_actions.test(parcel.action.0 as usize) {
+    if inner.actions.is_direct(parcel.action) {
         // Direct action: run inline on the pumping thread. This keeps
         // continuation delivery alive even when every scheduler worker
         // is blocked in a cooperative wait.
@@ -689,7 +679,7 @@ fn deliver_coalesced(inner: &Arc<Inner>, parcels: Vec<Parcel>) {
             continue;
         }
         let weak = Arc::downgrade(inner);
-        if inner.direct_actions.test(parcel.action.0 as usize) {
+        if inner.actions.is_direct(parcel.action) {
             execute_parcel(&weak, parcel);
         } else {
             scratch.push(Box::new(move || execute_parcel(&weak, parcel)));
@@ -976,12 +966,15 @@ mod tests {
 
     #[test]
     fn direct_actions_stay_inline_under_batch_spawner() {
+        // The direct flag is set once, at registration, and both ports
+        // dispatching through the shared registry honour it on the
+        // single-parcel and the coalesced receive paths.
         let (p0, p1, actions) = two_ports();
         let spawned = Arc::new(AtomicU64::new(0));
         let direct_hits = Arc::new(AtomicU64::new(0));
         let task_hits = Arc::new(AtomicU64::new(0));
         let d = Arc::clone(&direct_hits);
-        let direct = actions.register(
+        let direct = actions.register_direct(
             "direct",
             Arc::new(move |_| {
                 d.fetch_add(1, Ordering::SeqCst);
@@ -996,29 +989,39 @@ mod tests {
                 Ok(Bytes::new())
             }),
         );
-        p1.set_direct(direct);
-        let sp = Arc::clone(&spawned);
-        p1.set_batch_spawner(Arc::new(move |fs| {
-            sp.fetch_add(fs.len() as u64, Ordering::SeqCst);
-            for f in fs.drain(..) {
+        assert!(actions.is_direct(direct) && !actions.is_direct(tasky));
+        for (port, dst) in [(&p0, 1), (&p1, 0)] {
+            let sp = Arc::clone(&spawned);
+            port.set_batch_spawner(Arc::new(move |fs| {
+                sp.fetch_add(fs.len() as u64, Ordering::SeqCst);
+                for f in fs.drain(..) {
+                    f();
+                }
+            }));
+            let sp = Arc::clone(&spawned);
+            port.set_spawner(Arc::new(move |f| {
+                sp.fetch_add(1, Ordering::SeqCst);
                 f();
+            }));
+            let mut parcels = Vec::new();
+            for i in 0..6u64 {
+                let act = if i % 2 == 0 { direct } else { tasky };
+                let mut p = plain_parcel(dst, act, Bytes::new());
+                p.id = i + 1;
+                parcels.push(p);
             }
-        }));
-        let mut parcels = Vec::new();
-        for i in 0..6u64 {
-            let act = if i % 2 == 0 { direct } else { tasky };
-            let mut p = plain_parcel(1, act, Bytes::new());
-            p.id = i + 1;
-            parcels.push(p);
+            port.emit(dst, parcels.into());
+            let mut single = plain_parcel(dst, direct, Bytes::new());
+            single.id = 7;
+            port.emit(dst, vec![single].into());
         }
-        p0.emit(1, parcels.into());
         assert!(pump_until(
             &[&p0, &p1],
-            || direct_hits.load(Ordering::SeqCst) == 3 && task_hits.load(Ordering::SeqCst) == 3,
+            || direct_hits.load(Ordering::SeqCst) == 8 && task_hits.load(Ordering::SeqCst) == 6,
             Duration::from_secs(2)
         ));
-        // Only the non-direct half went through the batch spawner.
-        assert_eq!(spawned.load(Ordering::SeqCst), 3);
+        // Only the non-direct parcels went through a spawner, on either port.
+        assert_eq!(spawned.load(Ordering::SeqCst), 6);
     }
 
     #[test]

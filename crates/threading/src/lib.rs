@@ -31,5 +31,5 @@ pub mod task;
 
 pub use counters::register_thread_counters;
 pub use scheduler::{BackgroundWork, Scheduler, SchedulerConfig};
-pub use stats::{StatsDelta, StatsSnapshot, ThreadStats};
+pub use stats::{StatsSnapshot, ThreadStats};
 pub use task::Task;

@@ -248,41 +248,6 @@ impl StatsSnapshot {
             self.background_ns as f64 / func as f64
         }
     }
-
-    /// Difference `self − earlier`, used for per-phase instantaneous
-    /// metrics (Fig. 9). Saturates at zero if counters were reset between.
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsDelta {
-        StatsDelta(StatsSnapshot {
-            exec_ns: self.exec_ns.saturating_sub(earlier.exec_ns),
-            mgmt_ns: self.mgmt_ns.saturating_sub(earlier.mgmt_ns),
-            background_ns: self.background_ns.saturating_sub(earlier.background_ns),
-            telemetry_ns: self.telemetry_ns.saturating_sub(earlier.telemetry_ns),
-            idle_ns: self.idle_ns.saturating_sub(earlier.idle_ns),
-            tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            steals: self.steals.saturating_sub(earlier.steals),
-            background_polls: self
-                .background_polls
-                .saturating_sub(earlier.background_polls),
-            spawn_batches: self.spawn_batches.saturating_sub(earlier.spawn_batches),
-            batched_tasks: self.batched_tasks.saturating_sub(earlier.batched_tasks),
-            wakeups_skipped: self.wakeups_skipped.saturating_sub(earlier.wakeups_skipped),
-            parks: self.parks.saturating_sub(earlier.parks),
-            park_timeouts: self.park_timeouts.saturating_sub(earlier.park_timeouts),
-            waiter_parks: self.waiter_parks.saturating_sub(earlier.waiter_parks),
-        })
-    }
-}
-
-/// A difference of two snapshots; exposes the same derived metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsDelta(pub StatsSnapshot);
-
-impl std::ops::Deref for StatsDelta {
-    type Target = StatsSnapshot;
-    fn deref(&self) -> &StatsSnapshot {
-        &self.0
-    }
 }
 
 #[cfg(test)]
@@ -338,20 +303,6 @@ mod tests {
         let snap = stats_with(150, 10, 40, 2);
         assert!((snap.network_overhead() - 0.2).abs() < 1e-12);
         assert_eq!(StatsSnapshot::default().network_overhead(), 0.0);
-    }
-
-    #[test]
-    fn delta_since_subtracts() {
-        let a = stats_with(100, 10, 5, 3);
-        let b = stats_with(250, 30, 25, 10);
-        let d = b.delta_since(&a);
-        assert_eq!(d.exec_ns, 150);
-        assert_eq!(d.mgmt_ns, 20);
-        assert_eq!(d.background_ns, 20);
-        assert_eq!(d.tasks_executed, 7);
-        // Saturating on reset-in-between.
-        let d = a.delta_since(&b);
-        assert_eq!(d.exec_ns, 0);
     }
 
     #[test]
@@ -423,7 +374,7 @@ mod tests {
             s.add_telemetry(Duration::from_nanos(500));
             s.snapshot()
         };
-        assert_eq!(later.delta_since(&snap).telemetry_ns, 500);
+        assert_eq!(later.telemetry_ns - snap.telemetry_ns, 500);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }

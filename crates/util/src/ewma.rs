@@ -1,12 +1,10 @@
-//! Exponentially weighted moving averages and arrival-rate estimation.
+//! Exponentially weighted moving averages.
 //!
 //! The adaptive coalescing controller (the paper's stated future work,
 //! realized in `rpx-adaptive`) smooths noisy counter samples — network
 //! overhead, parcel arrival gaps — with EWMAs before acting on them, and
 //! detects *communication phase changes* as large relative shifts in the
 //! smoothed arrival rate.
-
-use std::time::Duration;
 
 /// An exponentially weighted moving average.
 #[derive(Debug, Clone, Copy)]
@@ -51,49 +49,6 @@ impl Ewma {
     /// Forget all history.
     pub fn reset(&mut self) {
         self.value = None;
-    }
-}
-
-/// Estimates an event rate (events/second) from inter-arrival gaps.
-///
-/// Used to drive the sparse-traffic detection that mirrors the paper's
-/// "disable coalescing when parcel generation is sparse" rule and the
-/// adaptive controller's phase detector.
-#[derive(Debug, Clone, Copy)]
-pub struct RateEstimator {
-    gap_us: Ewma,
-}
-
-impl RateEstimator {
-    /// Create a rate estimator smoothing over roughly `half_life` samples.
-    pub fn new(half_life: f64) -> Self {
-        RateEstimator {
-            gap_us: Ewma::with_half_life(half_life),
-        }
-    }
-
-    /// Record an inter-arrival gap.
-    pub fn record_gap(&mut self, gap: Duration) {
-        self.gap_us.update(gap.as_secs_f64() * 1e6);
-    }
-
-    /// Smoothed mean inter-arrival gap in microseconds.
-    pub fn mean_gap_us(&self) -> Option<f64> {
-        self.gap_us.value()
-    }
-
-    /// Smoothed event rate in events/second (`None` before any sample or if
-    /// the mean gap is zero).
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        match self.gap_us.value() {
-            Some(g) if g > 0.0 => Some(1e6 / g),
-            _ => None,
-        }
-    }
-
-    /// Forget all history (e.g. after a detected phase change).
-    pub fn reset(&mut self) {
-        self.gap_us.reset();
     }
 }
 
@@ -151,19 +106,5 @@ mod tests {
         e.reset();
         assert_eq!(e.value(), None);
         assert_eq!(e.update(3.0), 3.0);
-    }
-
-    #[test]
-    fn rate_estimator_inverts_gap() {
-        let mut r = RateEstimator::new(4.0);
-        assert_eq!(r.rate_per_sec(), None);
-        for _ in 0..50 {
-            r.record_gap(Duration::from_micros(100));
-        }
-        let rate = r.rate_per_sec().unwrap();
-        assert!((rate - 10_000.0).abs() < 1.0, "rate {rate}");
-        assert!((r.mean_gap_us().unwrap() - 100.0).abs() < 0.01);
-        r.reset();
-        assert_eq!(r.rate_per_sec(), None);
     }
 }

@@ -22,19 +22,18 @@
 //! * [`complex`] — a minimal `Complex64`, the payload type of both the toy
 //!   application and the Parquet proxy.
 //! * [`ids`] — monotone id allocation.
-//! * [`ewma`] — exponentially weighted moving averages and rate estimators
-//!   used by the adaptive controller.
-//! * [`sync`] — lock-free read-mostly registries ([`SlotTable`],
-//!   [`BitTable`], [`ArcCell`]) backing the parcel send fast path, the
-//!   SPSC byte ring ([`SpscProducer`]/[`SpscConsumer`]) underpinning the
-//!   shared-memory transport, and the [`EventCount`] a locality's idle
-//!   workers and blocked waiters park on ([`WakeSource`],
+//! * [`ewma`] — exponentially weighted moving averages used by the
+//!   adaptive controller.
+//! * [`sync`] — the lock-free read-mostly tables of the parcel hot paths
+//!   ([`SlotTable`], [`ArcCell`]) and the [`EventCount`] a locality's
+//!   idle workers and blocked waiters park on ([`WakeSource`],
 //!   [`park_until`]).
 //! * [`poll`] — the readiness [`Poller`] (epoll shim on Linux, portable
 //!   fallback elsewhere) and vectored-read helpers behind the
 //!   event-driven TCP transport's pump thread.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod complex;
 pub mod ewma;
@@ -52,9 +51,6 @@ pub use hist::{Histogram, LogHistogram};
 pub use ids::IdAllocator;
 pub use poll::{BellRinger, Doorbell, Event, Interest, Poller};
 pub use stats::{pearson, OnlineStats};
-pub use sync::{
-    heap_ring, park_until, ArcCell, BitTable, EventCount, RingMemory, RingPop, RingPush, SlotTable,
-    SpscConsumer, SpscProducer, WaitKey, WakeSource, RING_HDR_BYTES,
-};
+pub use sync::{park_until, ArcCell, EventCount, SlotTable, WaitKey, WakeSource};
 pub use time::{busy_charge, spin_sleep, Stopwatch};
 pub use timer::{TimerHandle, TimerService};

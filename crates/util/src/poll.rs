@@ -300,15 +300,11 @@ mod imp {
         wake_fd: Fd,
     }
 
-    // SAFETY: both fds are plain kernel handles; every operation on them
-    // (epoll_ctl, epoll_wait, eventfd read/write) is thread-safe.
-    unsafe impl Send for Poller {}
-    unsafe impl Sync for Poller {}
-
     impl Poller {
         pub(super) fn new() -> io::Result<Poller> {
-            // SAFETY: plain syscalls creating fresh descriptors.
+            // SAFETY: plain syscall creating a fresh descriptor.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+            // SAFETY: as above.
             let wake_fd = match cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) }) {
                 Ok(fd) => fd,
                 Err(e) => {
@@ -503,11 +499,6 @@ mod imp {
         sfd: Fd,
     }
 
-    // SAFETY: plain kernel handles; reads/writes on them are
-    // thread-safe.
-    unsafe impl Send for Doorbell {}
-    unsafe impl Sync for Doorbell {}
-
     impl Doorbell {
         pub(super) fn bind(name: &str) -> io::Result<Doorbell> {
             let (addr, addrlen) = abstract_addr(name)
@@ -583,10 +574,6 @@ mod imp {
     pub(super) struct BellRinger {
         fd: Fd,
     }
-
-    // SAFETY: a kernel handle; `sendto` on it is thread-safe.
-    unsafe impl Send for BellRinger {}
-    unsafe impl Sync for BellRinger {}
 
     impl BellRinger {
         pub(super) fn new() -> io::Result<BellRinger> {

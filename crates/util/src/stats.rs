@@ -142,29 +142,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// Ordinary least squares fit `y = a + b·x`; returns `(a, b)`.
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-    }
-    if sxx == 0.0 {
-        return None;
-    }
-    let b = sxy / sxx;
-    Some((my - b * mx, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,15 +196,5 @@ mod tests {
         let xs = [-1.0, 1.0, -1.0, 1.0];
         let ys = [-1.0, -1.0, 1.0, 1.0];
         assert!(pearson(&xs, &ys).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let (a, b) = linear_fit(&xs, &ys).unwrap();
-        assert!((a - 3.0).abs() < 1e-12);
-        assert!((b - 2.0).abs() < 1e-12);
-        assert_eq!(linear_fit(&[1.0, 1.0], &[1.0, 2.0]), None);
     }
 }
