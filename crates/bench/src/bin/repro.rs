@@ -14,11 +14,16 @@
 //! per-destination adaptive coalescing and egress backpressure: it
 //! sustains a 10× load swing, reports throughput/p50/p99 plus exact
 //! per-destination accounting, and emits the per-destination parameter
-//! series (also written as CSV to `RPX_SERVICE_CSV` when set).
+//! series (also written as CSV to `RPX_SERVICE_CSV` when set). It ends
+//! with the CPU ms/s and context switches/s of every thread name over the
+//! run window (Linux `/proc`), so the thread that owns the CPU is named.
 //!
 //! `check-fig5` (not part of `all`) is the CI smoke check: it exits
 //! non-zero unless completion time decreases monotonically (within
 //! tolerance) with nparcels — figure-shape regressions fail the build.
+//! `check-timer` (not part of `all`) gates the flush timer the same way:
+//! it runs `timer` and exits non-zero if any timer fired early or the
+//! mean firing error exceeds the paper's 33 µs.
 //!
 //! `chaos` (not part of `all`) is the reliability smoke: the toy app
 //! runs over both backends under `FaultPlan::chaos()` with the
@@ -55,8 +60,9 @@
 //! the launcher fail unless the aggregated counters prove shm carried
 //! the traffic (`/network/shm-messages > 0`, zero TCP writev frames).
 
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rpx_bench::table::{print_csv, print_table, ratio, secs};
 use rpx_bench::{experiments as exp, Scale};
@@ -98,10 +104,13 @@ fn main() {
     for name in selected {
         let t0 = std::time::Instant::now();
         match name {
-            "timer" => run_timer(scale),
+            "timer" => {
+                run_timer(scale);
+            }
             "fig4" => run_fig4(scale),
             "fig5" => run_fig5(scale),
             "check-fig5" => run_check_fig5(scale),
+            "check-timer" => run_check_timer(scale),
             "chaos" => run_chaos(scale),
             "fig6" => run_fig6(scale),
             "fig7" => run_fig7(scale),
@@ -126,18 +135,20 @@ fn main() {
     }
 }
 
-fn run_timer(scale: Scale) {
+fn run_timer(scale: Scale) -> exp::TimerReport {
     let r = exp::exp_timer(scale.pick(200, 2_000));
     print_table(
         "T-timer — flush timer accuracy (paper §II-B: ≈33 µs mean)",
-        &["fired", "mean_err_us", "stddev_us", "max_err_us"],
+        &["fired", "mean_err_us", "stddev_us", "max_err_us", "early"],
         &[vec![
             r.fired.to_string(),
             format!("{:.1}", r.mean_error_us),
             format!("{:.1}", r.stddev_error_us),
             format!("{:.1}", r.max_error_us),
+            r.early.to_string(),
         ]],
     );
+    r
 }
 
 fn scatter_table(title: &str, r: &exp::ScatterReport, paper_r: f64) {
@@ -215,6 +226,40 @@ fn run_check_fig5(scale: Scale) {
         Ok(()) => println!("fig5 shape OK: completion time decreases with nparcels"),
         Err(why) => {
             eprintln!("fig5 shape REGRESSED: {why}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The paper's flush-timer accuracy figure (§II-B): mean firing error of
+/// its Boost deadline timer, in µs.
+const PAPER_TIMER_MEAN_ERROR_US: f64 = 33.0;
+
+/// Timer accuracy gate: runs the `timer` experiment and exits non-zero
+/// unless every timer fired, none early, with a mean error within the
+/// paper's figure.
+fn run_check_timer(scale: Scale) {
+    let n = scale.pick(200, 2_000);
+    let r = run_timer(scale);
+    let failure = if r.fired != n as u64 {
+        Some(format!("{} of {n} timers fired", r.fired))
+    } else if r.early > 0 {
+        Some(format!("{} of {n} timers fired early", r.early))
+    } else if r.mean_error_us > PAPER_TIMER_MEAN_ERROR_US {
+        Some(format!(
+            "mean firing error {:.1} µs exceeds the paper's {PAPER_TIMER_MEAN_ERROR_US} µs",
+            r.mean_error_us
+        ))
+    } else {
+        None
+    };
+    match failure {
+        None => println!(
+            "timer accuracy OK: mean {:.1} µs ≤ {PAPER_TIMER_MEAN_ERROR_US} µs, no early firing",
+            r.mean_error_us
+        ),
+        Some(why) => {
+            eprintln!("timer accuracy REGRESSED: {why}");
             std::process::exit(1);
         }
     }
@@ -493,12 +538,33 @@ fn run_ablate_bypass(scale: Scale) {
     );
 }
 
-/// `service`: the skewed open-loop load generator under a 10× swing,
-/// with per-destination adaptive coalescing and egress backpressure.
+/// `service`: the skewed open-loop load generator under a 10× swing, on
+/// a Sim runtime with per-destination adaptive coalescing and egress
+/// backpressure. Ends with the per-thread CPU report of the run window.
 /// Fails (exit 1) if the per-endpoint-pair accounting is inexact or the
 /// per-destination parameters never diverged.
 fn run_service_exp(scale: Scale) {
-    let r = exp::exp_service(scale);
+    let rt = rpx::Runtime::new(rpx::RuntimeConfig {
+        localities: 4,
+        backpressure_watermark: Some(64),
+        transport: rpx::TransportKind::Sim(exp::paper_link()),
+        ..rpx::RuntimeConfig::small_test()
+    });
+    let config = rpx_apps::ServiceConfig {
+        sessions: scale.pick(4, 16),
+        duration: Duration::from_millis(scale.pick(600, 3_000)),
+        base_rate: scale.pick(1_500.0, 3_000.0),
+        ..rpx_apps::ServiceConfig::default()
+    };
+    // Sampled while the runtime's threads are alive: shutdown joins them,
+    // and a joined thread's counters leave `/proc` with it.
+    let before = thread_samples();
+    let window = Instant::now();
+    let r = rpx_apps::run_service(&rt, &config).expect("service run");
+    let threads = before
+        .zip(thread_samples())
+        .map(|(before, after)| thread_cpu_rows(&before, &after, window.elapsed()));
+    rt.shutdown();
     print_table(
         "X-service — skewed open-loop load under a 10× swing",
         &[
@@ -551,6 +617,20 @@ fn run_service_exp(scale: Scale) {
         r.decisions.len(),
         r.per_dest.len()
     );
+    match threads {
+        Some(rows) => print_table(
+            "X-service — CPU per thread name over the run window",
+            &[
+                "thread",
+                "count",
+                "cpu_ms_per_s",
+                "vol_cs_per_s",
+                "invol_cs_per_s",
+            ],
+            &rows,
+        ),
+        None => println!("per-thread CPU: unavailable (needs Linux /proc/self/task)"),
+    }
     if let Err(e) = write_series_csv(&r.series) {
         eprintln!("service: {e}");
         std::process::exit(1);
@@ -569,6 +649,91 @@ fn run_service_exp(scale: Scale) {
         std::process::exit(1);
     }
     println!("service OK: accounting exact, per-destination parameters diverged");
+}
+
+/// One thread's counters, read from `/proc/self/task/<tid>`.
+struct ThreadSample {
+    name: String,
+    /// Time on CPU (ns), from `schedstat`: `stat`'s utime/stime count
+    /// 10 ms ticks, too coarse for a sub-second window.
+    cpu_ns: u64,
+    voluntary_cs: u64,
+    involuntary_cs: u64,
+}
+
+/// Every live thread of this process by tid, or `None` where
+/// `/proc/self/task` cannot be read (off Linux).
+fn thread_samples() -> Option<HashMap<u64, ThreadSample>> {
+    let mut threads = HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+        let Ok(tid) = task.file_name().to_string_lossy().parse::<u64>() else {
+            continue;
+        };
+        let read = |file: &str| std::fs::read_to_string(task.path().join(file)).ok();
+        // A thread that exits between the listing and the reads is skipped.
+        let (Some(comm), Some(schedstat), Some(status)) =
+            (read("comm"), read("schedstat"), read("status"))
+        else {
+            continue;
+        };
+        let status_field = |key: &str| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix(key))
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(0)
+        };
+        threads.insert(
+            tid,
+            ThreadSample {
+                name: comm.trim().to_string(),
+                cpu_ns: schedstat
+                    .split_whitespace()
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(0),
+                voluntary_cs: status_field("voluntary_ctxt_switches:"),
+                involuntary_cs: status_field("nonvoluntary_ctxt_switches:"),
+            },
+        );
+    }
+    (!threads.is_empty()).then_some(threads)
+}
+
+/// Per thread name, what its threads spent between two samples, as table
+/// rows (most CPU first): thread count, CPU ms/s, and voluntary and
+/// involuntary context switches/s. A thread born in the window (a new
+/// tid, or a recycled one under a new name) counts from zero.
+fn thread_cpu_rows(
+    before: &HashMap<u64, ThreadSample>,
+    after: &HashMap<u64, ThreadSample>,
+    window: Duration,
+) -> Vec<Vec<String>> {
+    let mut by_name: HashMap<&str, [u64; 4]> = HashMap::new();
+    for (tid, a) in after {
+        let b = before.get(tid).filter(|b| b.name == a.name);
+        let since = |f: fn(&ThreadSample) -> u64| f(a).saturating_sub(b.map_or(0, f));
+        let sums = by_name.entry(&a.name).or_default();
+        sums[0] += 1;
+        sums[1] += since(|t| t.cpu_ns);
+        sums[2] += since(|t| t.voluntary_cs);
+        sums[3] += since(|t| t.involuntary_cs);
+    }
+    let mut names: Vec<_> = by_name.into_iter().collect();
+    names.sort_by(|x, y| y.1[1].cmp(&x.1[1]).then(x.0.cmp(y.0)));
+    let secs = window.as_secs_f64();
+    names
+        .into_iter()
+        .map(|(name, [count, cpu_ns, vol, invol])| {
+            vec![
+                name.to_string(),
+                count.to_string(),
+                format!("{:.1}", cpu_ns as f64 / 1e6 / secs),
+                format!("{:.0}", vol as f64 / secs),
+                format!("{:.0}", invol as f64 / secs),
+            ]
+        })
+        .collect()
 }
 
 /// Write the per-destination parameter series as CSV to `RPX_SERVICE_CSV`,

@@ -89,18 +89,28 @@ pub struct TimerReport {
     pub max_error_us: f64,
     /// Stddev of firing error (µs).
     pub stddev_error_us: f64,
+    /// Firings whose callback ran before its deadline (a negative signed
+    /// error); the timer's contract is that this is 0.
+    pub early: u64,
 }
 
 /// Arm `n` timers with deadlines spread over 100 µs – 10 ms and measure
 /// firing error.
 pub fn exp_timer(n: usize) -> TimerReport {
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
     let svc = TimerService::new("accuracy-exp");
-    let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let done = Arc::new(AtomicUsize::new(0));
+    let early = Arc::new(AtomicU64::new(0));
     for i in 0..n {
-        let d = Arc::clone(&done);
-        let delay_us = 100 + (i as u64 * 97) % 9_900;
-        svc.arm_after(Duration::from_micros(delay_us), move || {
-            d.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let (d, e) = (Arc::clone(&done), Arc::clone(&early));
+        let deadline = Instant::now() + Duration::from_micros(100 + (i as u64 * 97) % 9_900);
+        svc.arm_at(deadline, move || {
+            // The service's own error saturates at zero; the callback
+            // checks the sign against the deadline it was armed with.
+            if Instant::now() < deadline {
+                e.fetch_add(1, SeqCst);
+            }
+            d.fetch_add(1, SeqCst);
         });
         // Stagger arming so deadlines interleave realistically.
         if i % 16 == 0 {
@@ -108,7 +118,7 @@ pub fn exp_timer(n: usize) -> TimerReport {
         }
     }
     let deadline = Instant::now() + Duration::from_secs(30);
-    while done.load(std::sync::atomic::Ordering::SeqCst) < n && Instant::now() < deadline {
+    while done.load(SeqCst) < n && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     let acc = svc.accuracy();
@@ -117,6 +127,7 @@ pub fn exp_timer(n: usize) -> TimerReport {
         mean_error_us: acc.mean_error_us,
         max_error_us: acc.max_error_us,
         stddev_error_us: acc.stddev_error_us,
+        early: early.load(SeqCst),
     }
 }
 
@@ -1203,28 +1214,6 @@ pub fn exp_chaos(scale: Scale) -> ChaosReport {
     ChaosReport { rows, violations }
 }
 
-/// X-service: the skewed open-loop service generator on a Sim runtime
-/// with per-destination adaptive coalescing and egress backpressure
-/// enabled — sustains a 10× load swing while each destination's
-/// parameters are steered independently.
-pub fn exp_service(scale: Scale) -> rpx_apps::ServiceReport {
-    let rt = Runtime::new(rpx::RuntimeConfig {
-        localities: 4,
-        backpressure_watermark: Some(64),
-        transport: rpx::TransportKind::Sim(paper_link()),
-        ..rpx::RuntimeConfig::small_test()
-    });
-    let config = rpx_apps::ServiceConfig {
-        sessions: scale.pick(4, 16),
-        duration: Duration::from_millis(scale.pick(600, 3_000)),
-        base_rate: scale.pick(1_500.0, 3_000.0),
-        ..rpx_apps::ServiceConfig::default()
-    };
-    let report = rpx_apps::run_service(&rt, &config).expect("service run");
-    rt.shutdown();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,6 +1222,7 @@ mod tests {
     fn timer_experiment_reports_all_firings() {
         let r = exp_timer(40);
         assert_eq!(r.fired, 40);
+        assert_eq!(r.early, 0);
         assert!(r.mean_error_us >= 0.0);
         assert!(r.max_error_us >= r.mean_error_us);
     }

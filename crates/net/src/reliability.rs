@@ -15,8 +15,10 @@
 //!   next-expected seq plus a 64-bit SACK bitmap of out-of-order
 //!   arrivals. Acks are flushed from `pump_recv` once
 //!   [`ReliabilityConfig::ack_threshold`] deliveries accumulate or
-//!   [`ReliabilityConfig::ack_interval`] elapses — piggybacked on the
-//!   pump cadence, standalone on the timer. Ack frames are plain
+//!   [`ReliabilityConfig::ack_interval`] has passed since the last ack —
+//!   on the pump cadence only: no timer fires them, so on a quiet
+//!   locality they wait for the scheduler's `idle_park` fallback
+//!   (200 µs by default). Ack frames are plain
 //!   unsequenced [`MessageKind::Ack`] messages: never acked, never
 //!   retransmitted.
 //! * **Retransmission** — unacked messages sit in a per-destination
@@ -64,8 +66,11 @@ use crate::transport::{NotifyFn, ReceiveHandler, Transport, TransportPort};
 /// Tuning knobs for the reliability sublayer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliabilityConfig {
-    /// Flush pending acks at most this long after the first unacked
-    /// delivery (the "ack timer").
+    /// Minimum spacing of acks to one source: a pending ack leaves on
+    /// the first pump after this long has passed since the last one. No
+    /// timer fires at the interval itself, so on a quiet locality the ack
+    /// waits for the next pump — the scheduler's `idle_park` fallback
+    /// (200 µs by default) — not for this interval.
     pub ack_interval: Duration,
     /// Flush an ack immediately once this many deliveries accumulated.
     pub ack_threshold: u64,

@@ -8,8 +8,9 @@
 //! * [`time`] — monotonic stopwatches, hybrid sleep (`spin_sleep`) and busy
 //!   cost charging (`busy_charge`) used by the software network fabric to
 //!   model per-message overheads in real time.
-//! * [`timer`] — the deadline **timer service**: a dedicated hardware thread
-//!   draining a min-heap of deadlines with a park/spin hybrid wait. This is
+//! * [`timer`] — the deadline **timer service**: a dedicated thread
+//!   draining a min-heap of deadlines, parked until the earliest live one
+//!   (it never spins, so it costs no core between firings). This is
 //!   the analogue of the Boost deadline timer the paper uses for the parcel
 //!   coalescing flush timer (§II-B), where the authors report firing within
 //!   ~33 µs of the requested deadline on average.

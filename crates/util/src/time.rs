@@ -13,14 +13,14 @@ use std::time::{Duration, Instant};
 ///
 /// OS sleeps routinely overshoot by 50 µs – several ms depending on the
 /// scheduler tick; spinning the final stretch keeps precision in the low
-/// microseconds, mirroring the dedicated-hardware-thread argument the paper
-/// makes for its flush timer (§II-B).
-pub const SPIN_THRESHOLD: Duration = Duration::from_micros(250);
+/// microseconds. Only callers that pay for that precision with a busy core
+/// use it — the flush timer (`timer.rs`) parks instead.
+const SPIN_THRESHOLD: Duration = Duration::from_micros(250);
 
 /// Sleep for `dur` with microsecond precision.
 ///
 /// Parks the thread for the bulk of the interval and spins the final
-/// [`SPIN_THRESHOLD`] so the wake-up error stays in the low microseconds.
+/// 250 µs so the wake-up error stays in the low microseconds.
 pub fn spin_sleep(dur: Duration) {
     let deadline = Instant::now() + dur;
     spin_sleep_until(deadline);

@@ -9,11 +9,16 @@
 //! times.
 //!
 //! [`TimerService`] reproduces that design: one dedicated thread owns a
-//! min-heap of deadlines and uses a park/spin hybrid wait — parking until
-//! shortly before the earliest deadline and spinning the final stretch.
-//! Every firing records its error into an accuracy histogram, which the
-//! `timer_accuracy` bench and `repro timer` harness report against the
-//! paper's 33 µs figure.
+//! min-heap of deadlines and parks on a condvar until the earliest *live*
+//! deadline — cancelled heads are dropped before each wait, so a batch
+//! that filled never costs a wake-up toward its dead deadline. It does not
+//! spin: flush intervals are shorter than any spin stretch worth having,
+//! so a spinning timer thread would burn a core the workers need. On
+//! Linux the thread sets its own timer slack to 1 ns, which keeps a parked
+//! wait within tens of µs of its deadline instead of the default 50 µs
+//! slack on top. Every firing records its error into an accuracy
+//! histogram, which the `timer_accuracy` bench and `repro timer` /
+//! `repro check-timer` report against the paper's 33 µs figure.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -24,7 +29,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::stats::OnlineStats;
-use crate::time::SPIN_THRESHOLD;
 
 /// Callback type executed when a timer fires.
 ///
@@ -66,6 +70,20 @@ struct Queue {
     cancelled: HashSet<u64>,
     /// Ids currently pending (armed, not yet fired or cancelled).
     pending: HashSet<u64>,
+}
+
+impl Queue {
+    /// Drop cancelled entries off the top of the heap and return the
+    /// earliest live deadline, if any.
+    fn earliest_live(&mut self) -> Option<Instant> {
+        while let Some(Reverse(head)) = self.heap.peek() {
+            if !self.cancelled.remove(&head.id) {
+                return Some(head.deadline);
+            }
+            self.heap.pop();
+        }
+        None
+    }
 }
 
 struct Inner {
@@ -186,7 +204,7 @@ impl TimerService {
         callback: impl FnOnce() + Send + 'static,
     ) -> TimerHandle {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        {
+        let earliest = {
             let mut q = self.inner.queue.lock();
             q.pending.insert(id);
             q.heap.push(Reverse(Entry {
@@ -194,9 +212,13 @@ impl TimerService {
                 id,
                 callback: Box::new(callback),
             }));
+            q.heap.peek().is_some_and(|Reverse(head)| head.id == id)
+        };
+        // Only a new earliest deadline changes what the thread waits for;
+        // a later one is found when the thread next looks at the heap.
+        if earliest {
+            self.inner.cond.notify_one();
         }
-        // The new deadline may be earlier than what the thread is waiting on.
-        self.inner.cond.notify_one();
         TimerHandle {
             id,
             inner: Arc::downgrade(&self.inner),
@@ -258,11 +280,9 @@ impl Drop for TimerService {
 }
 
 fn timer_loop(inner: Arc<Inner>) {
+    tighten_timer_slack();
+    let mut due: Vec<(Instant, TimerCallback)> = Vec::new();
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut due: Vec<(Instant, TimerCallback)> = Vec::new();
         {
             let mut q = inner.queue.lock();
             loop {
@@ -270,36 +290,18 @@ fn timer_loop(inner: Arc<Inner>) {
                     return;
                 }
                 let now = Instant::now();
-                match q.heap.peek() {
-                    None => {
-                        inner.cond.wait(&mut q);
-                        continue;
-                    }
-                    Some(Reverse(entry)) if entry.deadline > now => {
-                        let remaining = entry.deadline - now;
-                        if remaining > SPIN_THRESHOLD {
-                            // Park until just before the deadline; a newly
-                            // armed earlier timer wakes us via the condvar.
-                            let _ = inner.cond.wait_for(&mut q, remaining - SPIN_THRESHOLD);
-                            continue;
-                        }
-                        // Spin the final stretch outside the lock so arming
-                        // threads are not blocked.
-                        let deadline = entry.deadline;
-                        drop(q);
-                        while Instant::now() < deadline {
-                            if inner.shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                        }
-                        q = inner.queue.lock();
-                        continue;
+                match q.earliest_live() {
+                    None => inner.cond.wait(&mut q),
+                    // Park until the deadline; a newly armed earlier timer
+                    // wakes us via the condvar, a cancelled head costs at
+                    // most one early wake-up.
+                    Some(deadline) if deadline > now => {
+                        let _ = inner.cond.wait_until(&mut q, deadline);
                     }
                     Some(_) => {
                         // Pop every entry that is due.
                         while let Some(Reverse(e)) = q.heap.peek() {
-                            if e.deadline > Instant::now() {
+                            if e.deadline > now {
                                 break;
                             }
                             let Reverse(entry) = q.heap.pop().expect("peeked entry");
@@ -315,7 +317,7 @@ fn timer_loop(inner: Arc<Inner>) {
             }
         }
         let now = Instant::now();
-        for (deadline, callback) in due {
+        for (deadline, callback) in due.drain(..) {
             let err_us = (now.saturating_duration_since(deadline)).as_secs_f64() * 1e6;
             inner.accuracy.lock().push(err_us);
             inner.fired.fetch_add(1, Ordering::Relaxed);
@@ -323,6 +325,26 @@ fn timer_loop(inner: Arc<Inner>) {
         }
     }
 }
+
+/// Set the calling thread's timer slack to 1 ns. With the default 50 µs
+/// slack the kernel may defer a parked wait's expiry by that much to batch
+/// wake-ups, which on its own exceeds the paper's ≈33 µs firing error.
+#[cfg(target_os = "linux")]
+fn tighten_timer_slack() {
+    use std::ffi::{c_int, c_ulong};
+    const PR_SET_TIMERSLACK: c_int = 29;
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    // SAFETY: PR_SET_TIMERSLACK takes one integer argument and only
+    // changes the calling thread's timer slack; no memory is passed. A
+    // failure leaves the default slack, which is harmless.
+    let _ = unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
+}
+
+/// Other targets keep their default timer slack.
+#[cfg(not(target_os = "linux"))]
+fn tighten_timer_slack() {}
 
 #[cfg(test)]
 mod tests {
@@ -470,6 +492,161 @@ mod tests {
         svc.shutdown();
         assert!(svc.thread.lock().is_none());
         svc.shutdown();
+    }
+
+    /// This thread's CPU time so far, from the first field of its
+    /// `schedstat` (ns on CPU).
+    #[cfg(target_os = "linux")]
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+        let ns = stat.split_whitespace().next().expect("cpu field");
+        Duration::from_nanos(ns.parse().expect("cpu ns"))
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn parked_timer_thread_sleeps_instead_of_spinning() {
+        // 400 back-to-back 250 µs timers, each armed by the previous
+        // callback on the timer thread; the first and last callbacks read
+        // that thread's own CPU time. A timer that spins toward its
+        // deadlines is on CPU for the whole span.
+        const N: usize = 400;
+        const GAP: Duration = Duration::from_micros(250);
+        struct Chain {
+            svc: std::sync::Weak<TimerService>,
+            left: usize,
+            start: Option<(Instant, Duration)>,
+            done: std::sync::mpsc::Sender<(Duration, Duration)>,
+        }
+        fn link(mut chain: Chain) {
+            let now = Instant::now();
+            let (t0, cpu0) = *chain.start.get_or_insert((now, thread_cpu()));
+            chain.left -= 1;
+            if chain.left == 0 {
+                let _ = chain.done.send((now - t0, thread_cpu() - cpu0));
+            } else if let Some(svc) = chain.svc.upgrade() {
+                svc.arm_after(GAP, move || link(chain));
+            }
+        }
+        let svc = Arc::new(TimerService::new("test-sleeps"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let chain = Chain {
+            svc: Arc::downgrade(&svc),
+            left: N + 1,
+            start: None,
+            done: tx,
+        };
+        svc.arm_after(GAP, move || link(chain));
+        let (wall, cpu) = rx.recv_timeout(Duration::from_secs(30)).expect("chain");
+        assert!(wall >= GAP * N as u32, "{N} gaps took only {wall:?}");
+        let share = cpu.as_secs_f64() / wall.as_secs_f64();
+        assert!(
+            share < 0.20,
+            "timer thread was on CPU {:.0} % of {wall:?} ({cpu:?})",
+            share * 100.0
+        );
+    }
+
+    #[test]
+    fn concurrent_arm_and_cancel_fire_never_early_and_exactly_once() {
+        use rand::{Rng, SeedableRng};
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 500;
+        let svc = Arc::new(TimerService::new("test-contract"));
+        let fires: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..THREADS * PER_THREAD)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
+        let early = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (svc, fires, early) =
+                    (Arc::clone(&svc), Arc::clone(&fires), Arc::clone(&early));
+                std::thread::spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(t as u64);
+                    let mut handles = Vec::with_capacity(PER_THREAD);
+                    for i in t * PER_THREAD..(t + 1) * PER_THREAD {
+                        let deadline =
+                            Instant::now() + Duration::from_micros(rng.gen_range(0..2_001));
+                        let (fires, early) = (Arc::clone(&fires), Arc::clone(&early));
+                        let handle = svc.arm_at(deadline, move || {
+                            if Instant::now() < deadline {
+                                early.fetch_add(1, Ordering::SeqCst);
+                            }
+                            fires[i].fetch_add(1, Ordering::SeqCst);
+                        });
+                        handles.push((i, handle));
+                    }
+                    // Cancel a random third; remember which cancels won.
+                    handles
+                        .into_iter()
+                        .filter(|_| rng.gen_range(0..3) == 0)
+                        .filter(|(_, h)| h.cancel())
+                        .map(|(i, _)| i)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut cancelled = vec![false; THREADS * PER_THREAD];
+        for w in workers {
+            for i in w.join().expect("arming thread") {
+                cancelled[i] = true;
+            }
+        }
+        let expected = cancelled.iter().filter(|c| !**c).count();
+        let total = || {
+            fires
+                .iter()
+                .map(|f| f.load(Ordering::SeqCst))
+                .sum::<usize>()
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while total() < expected && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Give any stray (duplicate or cancelled) firing time to show up.
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(early.load(Ordering::SeqCst), 0, "a timer fired early");
+        for (i, fired) in fires.iter().enumerate() {
+            let want = usize::from(!cancelled[i]);
+            assert_eq!(fired.load(Ordering::SeqCst), want, "timer {i}");
+        }
+        assert!(cancelled.iter().any(|c| *c), "no cancel won the race");
+        assert_eq!(svc.pending(), 0);
+    }
+
+    #[test]
+    fn notifying_only_a_new_earliest_deadline_loses_no_timer() {
+        let svc = TimerService::new("test-notify");
+        let t0 = Instant::now();
+        let hits: Arc<Mutex<Vec<(u64, Duration)>>> = Arc::new(Mutex::new(Vec::new()));
+        let arm = |ms: u64| {
+            let hits = Arc::clone(&hits);
+            svc.arm_at(t0 + Duration::from_millis(ms), move || {
+                hits.lock().push((ms, t0.elapsed()));
+            })
+        };
+        arm(50);
+        // Let the thread park on the 50 ms deadline.
+        std::thread::sleep(Duration::from_millis(5));
+        let first = arm(30); // the new earliest: wakes the thread
+        arm(40); // not the earliest: no wake-up
+        assert!(first.cancel()); // the thread now waits toward a dead head
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while hits.lock().len() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let hits = hits.lock().clone();
+        assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![40, 50]);
+        for (ms, at) in hits {
+            let due = Duration::from_millis(ms);
+            assert!(at >= due, "{ms} ms timer fired early, at {at:?}");
+            assert!(
+                at < due + Duration::from_millis(25),
+                "{ms} ms timer fired at {at:?}"
+            );
+        }
     }
 
     #[test]
