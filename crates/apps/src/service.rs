@@ -249,8 +249,7 @@ pub fn run_service(
     let act = rt
         .action(SERVICE_ACTION)
         .delivery(config.class)
-        .with_locality()
-        .register(move |here, sent_ns: u64| {
+        .register_with_locality(move |here, sent_ns: u64| {
             d2[here as usize].fetch_add(1, Ordering::Relaxed);
             if client {
                 let now = epoch.elapsed().as_nanos() as u64;

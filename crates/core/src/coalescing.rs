@@ -160,11 +160,6 @@ impl CoalescingControl {
         self.params.set_interval(interval);
     }
 
-    /// Replace all parameters at once.
-    pub fn set_params(&self, params: CoalescingParams) {
-        self.params.store(params);
-    }
-
     /// Flush all queued parcels on every locality (phase boundaries),
     /// including queued continuation results.
     pub fn flush(&self) {

@@ -94,8 +94,7 @@ mod tests {
         let rt = runtime(4);
         let who = rt
             .action("coll::who")
-            .with_locality()
-            .register(|here, (): ()| here);
+            .register_with_locality(|here, (): ()| here);
         let ids = rt.run_on(1, move |ctx| {
             let futures = ctx.broadcast(&who, ());
             ctx.wait_all(futures).unwrap()
@@ -109,8 +108,7 @@ mod tests {
         let rt = runtime(3);
         let who = rt
             .action("coll::who")
-            .with_locality()
-            .register(|here, (): ()| here);
+            .register_with_locality(|here, (): ()| here);
         let ids = rt.run_on(2, move |ctx| {
             let futures = ctx.broadcast_all(&who, ());
             ctx.wait_all(futures).unwrap()
@@ -124,8 +122,7 @@ mod tests {
         let rt = runtime(4);
         let sq = rt
             .action("coll::sq")
-            .with_locality()
-            .register(|here, (): ()| u64::from(here) * u64::from(here));
+            .register_with_locality(|here, (): ()| u64::from(here) * u64::from(here));
         let sum = rt.run_on(0, move |ctx| {
             ctx.reduce(&sq, (), 0u64, |acc, v| acc + v).unwrap()
         });
@@ -138,8 +135,7 @@ mod tests {
         let rt = runtime(3);
         let echo = rt
             .action("coll::echo")
-            .with_locality()
-            .register(|here, v: u64| (u64::from(here), v));
+            .register_with_locality(|here, v: u64| (u64::from(here), v));
         let out = rt.run_on(0, move |ctx| {
             let futures = ctx.scatter(&echo, vec![10, 20, 30]);
             ctx.wait_all(futures).unwrap()

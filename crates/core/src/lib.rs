@@ -65,9 +65,7 @@ pub use coalescing::CoalescingControl;
 pub use components::MethodHandle;
 pub use context::{Ctx, RemoteFuture};
 pub use error::RuntimeError;
-pub use runtime::{
-    ActionBuilder, ActionHandle, Locality, LocalityActionBuilder, Runtime, RuntimeConfig,
-};
+pub use runtime::{ActionBuilder, ActionHandle, Locality, Runtime, RuntimeConfig};
 
 // Re-export the pieces applications touch directly.
 pub use rpx_adaptive::{

@@ -7,11 +7,12 @@
 //! control plane (registration-hash verification, barriers) rides
 //! [`rpx_net::MessageKind::Control`] messages over the same wire.
 
-use std::collections::{HashMap, HashSet};
+mod control;
+
+use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -24,11 +25,12 @@ use rpx_counters::{
 use rpx_lco::Promise;
 use rpx_metrics::MetricsReader;
 use rpx_net::{
-    BootstrapMode, DeliveryClass, LinkModel, ReliabilityConfig, ReliablePort, ReliableTransport,
-    TcpBootstrap, Topology, Transport, TransportKind,
+    BootstrapMode, DeliveryClass, DeliveryError, LinkModel, PortStats, ReliabilityConfig,
+    ReliablePort, ReliableTransport, TcpBootstrap, Topology, Transport, TransportKind,
 };
 use rpx_parcel::{
     port::decode_continuation_args, ActionId, ActionRegistry, ParcelPort, ParcelPortConfig,
+    ParcelPortStats,
 };
 use rpx_serialize::{from_bytes, to_bytes, Wire};
 use rpx_threading::{register_thread_counters, BackgroundWork, Scheduler, SchedulerConfig};
@@ -37,6 +39,8 @@ use rpx_util::TimerService;
 use crate::coalescing::CoalescingControl;
 use crate::context::Ctx;
 use crate::error::RuntimeError;
+
+use self::control::ControlPlane;
 
 /// Runtime construction parameters.
 #[derive(Debug, Clone)]
@@ -74,12 +78,6 @@ pub struct RuntimeConfig {
     pub backpressure_watermark: Option<usize>,
     /// Idle park interval of scheduler workers.
     pub idle_park: Duration,
-    /// Fixed CPU cost charged on the caller for every remote invocation
-    /// (future setup, AGAS traffic, parcel construction). Calibrated to
-    /// HPX's `hpx::async` cost on the paper's testbed (~1.5 µs); this is
-    /// what makes inter-parcel gaps comparable to the paper's, so the
-    /// `wait = 1 µs` sparse-bypass band of Fig. 8 reproduces.
-    pub invocation_overhead: Duration,
     /// `None` (default): this process hosts *all* `localities` in one
     /// address space, exactly as before. `Some(topology)`: this process
     /// is one rank of a multi-process cluster — it hosts the single
@@ -99,7 +97,6 @@ impl Default for RuntimeConfig {
             best_effort_backlog: ParcelPortConfig::default().best_effort_backlog,
             backpressure_watermark: ParcelPortConfig::default().backpressure_watermark,
             idle_park: Duration::from_micros(200),
-            invocation_overhead: Duration::from_nanos(1_500),
             topology: None,
         }
     }
@@ -110,8 +107,6 @@ impl RuntimeConfig {
     /// localities, two workers each, a cheap link model.
     pub fn small_test() -> Self {
         RuntimeConfig {
-            localities: 2,
-            workers_per_locality: 2,
             transport: TransportKind::Sim(LinkModel {
                 send_overhead: Duration::from_micros(2),
                 recv_overhead: Duration::from_micros(1),
@@ -120,12 +115,7 @@ impl RuntimeConfig {
                 eager_threshold: usize::MAX,
                 rendezvous_extra: Duration::ZERO,
             }),
-            reliability: None,
-            best_effort_backlog: ParcelPortConfig::default().best_effort_backlog,
-            backpressure_watermark: ParcelPortConfig::default().backpressure_watermark,
-            idle_park: Duration::from_micros(200),
-            invocation_overhead: Duration::ZERO,
-            topology: None,
+            ..Self::default()
         }
     }
 }
@@ -180,8 +170,7 @@ const DEFAULT_COALESCE_INTERVAL: Duration = Duration::from_micros(100);
 /// let sync = rt.action("sync")
 ///     .delivery(DeliveryClass::Coalesce)
 ///     .coalesce_interval(Duration::from_micros(250))
-///     .with_locality()
-///     .register(|here, v: u64| { /* apply v at `here` */ });
+///     .register_with_locality(|here, v: u64| { /* apply v at `here` */ });
 /// ```
 #[must_use = "the builder registers nothing until .register(f) is called"]
 pub struct ActionBuilder<'rt> {
@@ -207,12 +196,6 @@ impl<'rt> ActionBuilder<'rt> {
         self
     }
 
-    /// Switch to a handler that also receives the executing locality id
-    /// (needed by workloads that index distributed state).
-    pub fn with_locality(self) -> LocalityActionBuilder<'rt> {
-        LocalityActionBuilder { inner: self }
-    }
-
     /// Register the handler on every hosted locality; returns the typed
     /// handle. The handler runs on the destination locality inside a
     /// scheduler task, with its arguments deserialized from the parcel
@@ -225,54 +208,22 @@ impl<'rt> ActionBuilder<'rt> {
         A: Wire + Send + 'static,
         R: Wire + Send + 'static,
     {
-        let f = Arc::new(f);
-        let id = self.rt.register_classed(
-            &self.name,
-            self.class,
-            self.coalesce_interval,
-            move |_here| {
-                let f = Arc::clone(&f);
-                Arc::new(move |args: Bytes| {
-                    let args: A = from_bytes(args)?;
-                    Ok(to_bytes(&f(args)))
-                })
-            },
-        );
-        ActionHandle {
-            id,
-            name: Arc::from(self.name.as_str()),
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// [`ActionBuilder`] continuation for handlers that receive the executing
-/// locality id ([`ActionBuilder::with_locality`]).
-#[must_use = "the builder registers nothing until .register(f) is called"]
-pub struct LocalityActionBuilder<'rt> {
-    inner: ActionBuilder<'rt>,
-}
-
-impl LocalityActionBuilder<'_> {
-    /// Set the action's delivery class (default
-    /// [`DeliveryClass::Lossless`]).
-    pub fn delivery(mut self, class: DeliveryClass) -> Self {
-        self.inner.class = class;
-        self
+        self.register_with_locality(move |_here, args| f(args))
     }
 
-    /// Set the mailbox flush interval used when the class is
-    /// [`DeliveryClass::Coalesce`] (default 100 µs).
-    pub fn coalesce_interval(mut self, interval: Duration) -> Self {
-        self.inner.coalesce_interval = interval;
-        self
-    }
-
-    /// Register the locality-aware handler on every hosted locality.
+    /// [`ActionBuilder::register`] for a handler that also receives the
+    /// executing locality id (needed by workloads that index distributed
+    /// state).
+    ///
+    /// Mirrors the handler into every hosted locality's registry under
+    /// the builder's class (the registry is the only class table; the
+    /// port reads it) and — for [`DeliveryClass::Coalesce`] — installs
+    /// the newest-wins mailbox interceptor that turns N queued updates
+    /// into one wire record.
     ///
     /// # Panics
     /// Panics if the name is already registered.
-    pub fn register<A, R>(
+    pub fn register_with_locality<A, R>(
         self,
         f: impl Fn(u32, A) -> R + Send + Sync + 'static,
     ) -> ActionHandle<A, R>
@@ -280,19 +231,54 @@ impl LocalityActionBuilder<'_> {
         A: Wire + Send + 'static,
         R: Wire + Send + 'static,
     {
-        let b = self.inner;
+        let rt = self.rt;
         let f = Arc::new(f);
-        let id =
-            b.rt.register_classed(&b.name, b.class, b.coalesce_interval, move |here| {
-                let f = Arc::clone(&f);
-                Arc::new(move |args: Bytes| {
-                    let args: A = from_bytes(args)?;
-                    Ok(to_bytes(&f(here, args)))
-                })
+        let _guard = rt.registration.lock();
+        let mut id = None;
+        for locality in &rt.localities {
+            let f = Arc::clone(&f);
+            let here = locality.id;
+            let handler: rpx_parcel::RawHandler = Arc::new(move |args: Bytes| {
+                let args: A = from_bytes(args)?;
+                Ok(to_bytes(&f(here, args)))
             });
+            let this_id = locality
+                .actions
+                .register_with_class(&self.name, self.class, handler);
+            match id {
+                None => id = Some(this_id),
+                Some(prev) => assert_eq!(
+                    prev, this_id,
+                    "action id skew across localities — registration must be mirrored"
+                ),
+            }
+        }
+        let id = id.expect("at least one locality");
+        if self.class == DeliveryClass::Coalesce {
+            // One mailbox coalescer per hosted locality: a single
+            // value-replacing slot per destination, drained by the flush
+            // timer every `coalesce_interval`. nparcels/max_bytes never
+            // trigger for a mailbox; 2 simply keeps the sparse-bypass
+            // logic enabled (1 would disable coalescing outright).
+            let params = rpx_coalesce::ParamsHandle::new(rpx_coalesce::CoalescingParams::new(
+                2,
+                self.coalesce_interval,
+            ));
+            for locality in &rt.localities {
+                crate::coalescing::install_coalescer(
+                    rt,
+                    locality,
+                    &self.name,
+                    id,
+                    params.clone(),
+                    rpx_coalesce::FlushPolicy::Mailbox,
+                    false,
+                );
+            }
+        }
         ActionHandle {
             id,
-            name: Arc::from(b.name.as_str()),
+            name: Arc::from(self.name),
             _marker: PhantomData,
         }
     }
@@ -393,7 +379,7 @@ impl Locality {
     /// help execute one pending scheduler task so single-worker
     /// configurations cannot deadlock on local work.
     pub(crate) fn cooperative_pump(&self) -> bool {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let pumped = self.port.pump();
         // (The pump itself is the parcel port's send/receive engine.)
         self.scheduler.stats().add_in_task_background(t0.elapsed());
@@ -402,168 +388,6 @@ impl Locality {
         }
         self.scheduler.help_one()
     }
-}
-
-/// Expose a transport port's wire statistics as `/network/*` counters.
-///
-/// Byte counters measure frame bytes on the wire (header + payload), so
-/// the simulated and TCP backends report comparable values.
-fn register_network_counters(
-    registry: &Arc<CounterRegistry>,
-    port: Arc<dyn rpx_net::TransportPort>,
-) {
-    use std::sync::atomic::Ordering;
-    let mk = |port: &Arc<dyn rpx_net::TransportPort>, read: fn(&rpx_net::PortStats) -> u64| {
-        let port = Arc::clone(port);
-        rpx_counters::CallbackCounter::new(move || CounterValue::Int(read(port.stats()) as i64))
-    };
-    registry.register_or_replace(
-        "/network/messages-sent",
-        mk(&port, |s| s.sent_messages.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/messages-received",
-        mk(&port, |s| s.received_messages.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/bytes-sent",
-        mk(&port, |s| s.sent_bytes.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/bytes-received",
-        mk(&port, |s| s.received_bytes.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/decode-failures",
-        mk(&port, |s| s.decode_failures.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/retransmits",
-        mk(&port, |s| s.retransmits.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/acks-sent",
-        mk(&port, |s| s.acks_sent.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/duplicates-suppressed",
-        mk(&port, |s| s.duplicates_suppressed.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/delivery-failures",
-        mk(&port, |s| s.delivery_failures.load(Ordering::Relaxed)),
-    );
-    // Best-effort parcels shed under egress pressure or dropped by wire
-    // faults; never retransmitted, never counted against quiescence.
-    registry.register_or_replace(
-        "/network/best-effort-dropped",
-        mk(&port, |s| s.best_effort_dropped.load(Ordering::Relaxed)),
-    );
-    // Event-loop backend internals (always zero on the simulated
-    // fabric): poller dispatches, vectored read batches, frames flushed
-    // by vectored writes.
-    registry.register_or_replace(
-        "/network/event-loop-wakeups",
-        mk(&port, |s| s.event_wakeups.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/event-loop-readv-batches",
-        mk(&port, |s| s.readv_batches.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/event-loop-writev-frames",
-        mk(&port, |s| s.writev_frames.load(Ordering::Relaxed)),
-    );
-    // Shared-memory backend internals (zero unless the transport routed
-    // same-host traffic over SPSC rings): frames delivered through a
-    // ring, their wire-equivalent bytes, and doorbell wakeups handled by
-    // pump threads.
-    registry.register_or_replace(
-        "/network/shm-messages",
-        mk(&port, |s| s.shm_messages.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/shm-bytes",
-        mk(&port, |s| s.shm_bytes.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/shm-doorbell-wakeups",
-        mk(&port, |s| s.doorbell_wakeups.load(Ordering::Relaxed)),
-    );
-}
-
-/// Expose a parcel port's statistics as `/parcels/*` counters: the plain
-/// traffic counts plus the three hot-path log₂ histograms (coalescing
-/// buffer occupancy at flush, wire payload bytes per message, decode →
-/// spawn batch size).
-fn register_parcel_counters(registry: &Arc<CounterRegistry>, port: &Arc<ParcelPort>) {
-    use std::sync::atomic::Ordering;
-    let mk = |port: &Arc<ParcelPort>, read: fn(&rpx_parcel::port::ParcelPortStats) -> u64| {
-        let port = Arc::clone(port);
-        rpx_counters::CallbackCounter::new(move || CounterValue::Int(read(port.stats()) as i64))
-    };
-    registry.register_or_replace(
-        "/parcels/count/sent",
-        mk(port, |s| s.parcels_sent.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/parcels/count/received",
-        mk(port, |s| s.parcels_received.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/parcels/count/messages-sent",
-        mk(port, |s| s.messages_sent.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/parcels/count/messages-received",
-        mk(port, |s| s.messages_received.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/parcels/count/dropped",
-        mk(port, |s| s.dropped.load(Ordering::Relaxed)),
-    );
-    // Coalesce-class mailbox traffic: values superseded before flushing
-    // and slot flushes that actually hit the wire.
-    registry.register_or_replace(
-        "/parcels/coalesce-mailbox-replaced",
-        mk(port, |s| {
-            s.coalesce_mailbox_replaced.load(Ordering::Relaxed)
-        }),
-    );
-    registry.register_or_replace(
-        "/parcels/coalesce-mailbox-flushed",
-        mk(port, |s| s.coalesce_mailbox_flushed.load(Ordering::Relaxed)),
-    );
-    // Egress backpressure accounting, exported under `/network/*` so
-    // fleet aggregation groups it with the other wire-pressure signals.
-    // All three are monotone counters: they can never wedge quiescence,
-    // and per-rank dumps sum exactly (delivered + shed == sent holds per
-    // endpoint pair).
-    registry.register_or_replace(
-        "/network/backpressure-events",
-        mk(port, |s| s.backpressure_events.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/backpressure-shed",
-        mk(port, |s| s.backpressure_shed.load(Ordering::Relaxed)),
-    );
-    registry.register_or_replace(
-        "/network/backpressure-blocked-ns",
-        mk(port, |s| s.backpressure_blocked_ns.load(Ordering::Relaxed)),
-    );
-    let stats = port.stats();
-    registry.register_or_replace(
-        "/parcels/flush-occupancy-histogram",
-        rpx_counters::LogHistogramCounter::new(Arc::clone(&stats.flush_occupancy)),
-    );
-    registry.register_or_replace(
-        "/parcels/wire-bytes-histogram",
-        rpx_counters::LogHistogramCounter::new(Arc::clone(&stats.wire_bytes)),
-    );
-    registry.register_or_replace(
-        "/parcels/spawn-batch-histogram",
-        rpx_counters::LogHistogramCounter::new(Arc::clone(&stats.spawn_batch)),
-    );
 }
 
 struct PortPump {
@@ -597,138 +421,42 @@ impl BackgroundWork for TelemetryTick {
     }
 }
 
-// Control-plane payload tags (first byte of a `MessageKind::Control`
-// payload; all integers little-endian).
-/// `[tag][rank u32][hash u64]` — the sender's registration-order hash.
-const CTRL_REGHASH: u8 = 1;
-/// `[tag][rank u32][gen u64]` — the sender arrived at barrier `gen`.
-const CTRL_BARRIER_ARRIVE: u8 = 2;
-/// `[tag][gen u64]` — rank 0 releases barrier `gen`.
-const CTRL_BARRIER_RELEASE: u8 = 3;
-
-/// Cross-rank control state: registration hashes received from peers,
-/// barrier arrivals (rank 0) and releases (other ranks). Written by the
-/// parcel port's control handler on the receive path; polled by
-/// [`Runtime::verify_registration`] and [`Runtime::barrier`].
-struct ControlPlane {
-    peer_hashes: Mutex<HashMap<u32, u64>>,
-    arrivals: Mutex<HashMap<u64, HashSet<u32>>>,
-    released: Mutex<HashSet<u64>>,
-    next_gen: AtomicU64,
-    peers_connected: AtomicU64,
-    /// Our own `(rank, hash)` once this rank has entered
-    /// `verify_registration`. Receiving a reply-requested announcement
-    /// after this point answers with the recorded hash, so a peer whose
-    /// early announcements were all given up on by the reliable layer
-    /// (boot skew) still completes even though we stopped broadcasting.
-    announced: Mutex<Option<(u32, u64)>>,
-}
-
-impl ControlPlane {
-    fn new() -> Self {
-        ControlPlane {
-            peer_hashes: Mutex::new(HashMap::new()),
-            arrivals: Mutex::new(HashMap::new()),
-            released: Mutex::new(HashSet::new()),
-            next_gen: AtomicU64::new(0),
-            peers_connected: AtomicU64::new(0),
-            announced: Mutex::new(None),
-        }
+/// Reap `port`'s reliability give-ups: when the reliable port abandons
+/// delivery to a rank (it died or became unreachable), every pending LCO
+/// whose parcel targeted that rank is broken so waiters fail with
+/// `BrokenPromise` instead of hanging. The failures themselves are parked
+/// in `sink` for [`Runtime::delivery_failures`]. Returns whether there
+/// were any.
+fn reap_delivery_failures(
+    port: &ReliablePort,
+    table: &LcoTable,
+    sink: &Mutex<Vec<DeliveryError>>,
+) -> bool {
+    let failures = port.take_delivery_failures();
+    if failures.is_empty() {
+        return false;
     }
-
-    /// Parse one control payload. Unknown tags and short payloads are
-    /// ignored (forward compatibility; never panic on wire input).
-    ///
-    /// Returns `Some((dst, payload))` when the message calls for a
-    /// direct control reply (a registration announcement with the
-    /// want-reply flag set, once we have announced ourselves). Replies
-    /// never set want-reply, so reply traffic cannot echo.
-    fn on_message(&self, payload: &[u8]) -> Option<(u32, Bytes)> {
-        let le_u32 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
-        let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        match payload.first() {
-            Some(&CTRL_REGHASH) if payload.len() >= 13 => {
-                let rank = le_u32(&payload[1..5]);
-                let hash = le_u64(&payload[5..13]);
-                let want_reply = payload.get(13).is_some_and(|&b| b != 0);
-                {
-                    let mut hashes = self.peer_hashes.lock();
-                    hashes.insert(rank, hash);
-                    self.peers_connected
-                        .store(hashes.len() as u64, Ordering::Release);
-                }
-                if want_reply {
-                    if let Some((my_rank, my_hash)) = *self.announced.lock() {
-                        return Some((rank, reghash_payload(my_rank, my_hash, false)));
-                    }
-                }
-                None
-            }
-            Some(&CTRL_BARRIER_ARRIVE) if payload.len() >= 13 => {
-                let rank = le_u32(&payload[1..5]);
-                let gen = le_u64(&payload[5..13]);
-                self.arrivals.lock().entry(gen).or_default().insert(rank);
-                None
-            }
-            Some(&CTRL_BARRIER_RELEASE) if payload.len() >= 9 => {
-                let gen = le_u64(&payload[1..9]);
-                self.released.lock().insert(gen);
-                None
-            }
-            _ => None,
-        }
+    let mut dsts: Vec<u32> = failures.iter().map(|f| f.dst).collect();
+    dsts.sort_unstable();
+    dsts.dedup();
+    for dst in dsts {
+        table.fail_dest(dst);
     }
+    sink.lock().extend(failures);
+    true
 }
 
-fn reghash_payload(rank: u32, hash: u64, want_reply: bool) -> Bytes {
-    let mut b = Vec::with_capacity(14);
-    b.push(CTRL_REGHASH);
-    b.extend_from_slice(&rank.to_le_bytes());
-    b.extend_from_slice(&hash.to_le_bytes());
-    b.push(u8::from(want_reply));
-    Bytes::from(b)
-}
-
-fn barrier_arrive_payload(rank: u32, gen: u64) -> Bytes {
-    let mut b = Vec::with_capacity(13);
-    b.push(CTRL_BARRIER_ARRIVE);
-    b.extend_from_slice(&rank.to_le_bytes());
-    b.extend_from_slice(&gen.to_le_bytes());
-    Bytes::from(b)
-}
-
-fn barrier_release_payload(gen: u64) -> Bytes {
-    let mut b = Vec::with_capacity(9);
-    b.push(CTRL_BARRIER_RELEASE);
-    b.extend_from_slice(&gen.to_le_bytes());
-    Bytes::from(b)
-}
-
-/// Scheduler background work that reaps reliability give-ups: when the
-/// reliable port abandons delivery to a rank (it died or became
-/// unreachable), every pending LCO whose parcel targeted that rank is
-/// broken so waiters fail with `BrokenPromise` instead of hanging. The
-/// failures themselves are parked for [`Runtime::delivery_failures`].
+/// Scheduler background work running [`reap_delivery_failures`] for one
+/// locality.
 struct DeliveryFailureReaper {
     port: Arc<ReliablePort>,
     table: Arc<LcoTable>,
-    sink: Arc<Mutex<Vec<rpx_net::DeliveryError>>>,
+    sink: Arc<Mutex<Vec<DeliveryError>>>,
 }
 
 impl BackgroundWork for DeliveryFailureReaper {
     fn run(&self) -> bool {
-        let failures = self.port.take_delivery_failures();
-        if failures.is_empty() {
-            return false;
-        }
-        let mut dsts: Vec<u32> = failures.iter().map(|f| f.dst).collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        for dst in dsts {
-            self.table.fail_dest(dst);
-        }
-        self.sink.lock().extend(failures);
-        true
+        reap_delivery_failures(&self.port, &self.table, &self.sink)
     }
     fn name(&self) -> &str {
         "delivery-failure-reaper"
@@ -754,7 +482,7 @@ pub struct Runtime {
     /// (drives the delivery-failure reaper and `delivery_failures`).
     reliable: Option<Arc<ReliableTransport>>,
     control: Arc<ControlPlane>,
-    delivery_failures: Arc<Mutex<Vec<rpx_net::DeliveryError>>>,
+    delivery_failures: Arc<Mutex<Vec<DeliveryError>>>,
     /// Guards action registration so ids stay aligned across localities.
     registration: Mutex<()>,
     /// Per-locality telemetry samplers, started on demand
@@ -849,15 +577,15 @@ impl Runtime {
             None => raw,
         };
         let timer = Arc::new(TimerService::new("flush"));
-        let control = Arc::new(ControlPlane::new());
-        let delivery_failures: Arc<Mutex<Vec<rpx_net::DeliveryError>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let control = Arc::new(ControlPlane::default());
+        let delivery_failures = Arc::new(Mutex::new(Vec::new()));
 
         let mut localities = Vec::with_capacity(hosted.len());
         for id in hosted {
             // Per-locality action registry, mirroring HPX where every
             // process registers the same actions; ids stay aligned because
-            // registration is mirrored in order (see register_classed).
+            // registration is mirrored in order (see
+            // `ActionBuilder::register_with_locality`).
             let actions = ActionRegistry::new();
             let scheduler = Scheduler::new(SchedulerConfig {
                 workers: config.workers_per_locality,
@@ -868,7 +596,7 @@ impl Runtime {
             register_thread_counters(&registry, Arc::clone(scheduler.stats()));
 
             let net_port = transport.port(id);
-            register_network_counters(&registry, Arc::clone(&net_port));
+            PortStats::register_counters(&registry, &net_port);
             let port = ParcelPort::with_config(
                 id,
                 net_port,
@@ -901,28 +629,9 @@ impl Runtime {
                 let sched = Arc::clone(&scheduler);
                 port.set_batch_spawner(Arc::new(move |fs| sched.spawn_batch(fs.drain(..))));
             }
-            register_parcel_counters(&registry, &port);
-
-            // Control-plane traffic (registration hashes, barriers) is
-            // parsed on the receive path and parked in shared state that
-            // verify_registration/barrier poll. This handler MUST be
-            // installed before the pump starts: a control frame pumped
-            // while the handler is absent is dropped after the
-            // reliability layer has already acked it, so it is never
-            // retransmitted and the peer's registration hash is lost.
-            {
-                let cp = Arc::clone(&control);
-                // Weak: the port owns this handler, so a strong capture
-                // would cycle port → handler → port.
-                let weak_port = Arc::downgrade(&port);
-                port.set_control_handler(move |msg| {
-                    if let Some((dst, reply)) = cp.on_message(&msg.payload) {
-                        if let Some(p) = weak_port.upgrade() {
-                            p.send_control(dst, reply);
-                        }
-                    }
-                });
-            }
+            ParcelPortStats::register_counters(&registry, &port);
+            // Before the pump starts (see `ControlPlane::attach`).
+            control.attach(&port, &registry);
 
             // The parcel pump runs as scheduler background work — the
             // paper's "background work" whose duration Eq. 3 measures.
@@ -932,21 +641,11 @@ impl Runtime {
 
             let lco_table = Arc::new(LcoTable::new(Arc::clone(&agas)));
 
-            // Per-process identity counters: which rank this registry
-            // belongs to and how many peers have checked in at boot.
+            // Which rank this registry belongs to.
             registry.register_or_replace(
                 "/process/rank",
                 rpx_counters::CallbackCounter::new(move || CounterValue::Int(id as i64)),
             );
-            {
-                let cp = Arc::clone(&control);
-                registry.register_or_replace(
-                    "/process/peers-connected",
-                    rpx_counters::CallbackCounter::new(move || {
-                        CounterValue::Int(cp.peers_connected.load(Ordering::Acquire) as i64)
-                    }),
-                );
-            }
 
             // When reliability is on, reap delivery give-ups in the
             // background so waiters on a dead rank fail fast instead of
@@ -1111,58 +810,6 @@ impl Runtime {
         }
     }
 
-    /// The shared registration core behind [`Runtime::action`]: mirror
-    /// the handler into every hosted locality's registry under `class`
-    /// (the registry is the only class table; the port reads it) and —
-    /// for [`DeliveryClass::Coalesce`] — install the newest-wins mailbox
-    /// interceptor that turns N queued updates into one wire record.
-    fn register_classed(
-        self: &Arc<Self>,
-        name: &str,
-        class: DeliveryClass,
-        coalesce_interval: Duration,
-        mk: impl Fn(u32) -> rpx_parcel::RawHandler,
-    ) -> ActionId {
-        let _guard = self.registration.lock();
-        let mut id = None;
-        for locality in &self.localities {
-            let this_id = locality
-                .actions
-                .register_with_class(name, class, mk(locality.id));
-            match id {
-                None => id = Some(this_id),
-                Some(prev) => assert_eq!(
-                    prev, this_id,
-                    "action id skew across localities — registration must be mirrored"
-                ),
-            }
-        }
-        let id = id.expect("at least one locality");
-        if class == DeliveryClass::Coalesce {
-            // One mailbox coalescer per hosted locality: a single
-            // value-replacing slot per destination, drained by the flush
-            // timer every `coalesce_interval`. nparcels/max_bytes never
-            // trigger for a mailbox; 2 simply keeps the sparse-bypass
-            // logic enabled (1 would disable coalescing outright).
-            let params = rpx_coalesce::ParamsHandle::new(rpx_coalesce::CoalescingParams::new(
-                2,
-                coalesce_interval,
-            ));
-            for locality in &self.localities {
-                crate::coalescing::install_coalescer(
-                    self,
-                    locality,
-                    name,
-                    id,
-                    params.clone(),
-                    rpx_coalesce::FlushPolicy::Mailbox,
-                    false,
-                );
-            }
-        }
-        id
-    }
-
     /// Enable message coalescing for a registered action
     /// (`HPX_ACTION_USES_MESSAGE_COALESCING`). All localities share one
     /// live-tunable parameter handle; counters register per locality.
@@ -1300,154 +947,17 @@ impl Runtime {
         MetricsReader::new(Arc::clone(&self.local(locality).registry))
     }
 
-    /// Verify that every process in the cluster registered the same
-    /// actions in the same order, so wire action ids dispatch to the
-    /// same handlers everywhere.
-    ///
-    /// Call once after all [`Runtime::action`] registrations and before
-    /// remote traffic. In the default all-in-one mode this compares the
-    /// mirrored per-locality registries directly. In multi-process mode
-    /// each rank broadcasts its [`ActionRegistry::order_hash`] over the
-    /// control plane and waits (up to `timeout`) for all peers; any
-    /// disagreement is [`RuntimeError::RegistrationMismatch`]. Since the
-    /// exchange is all-to-all, a successful return doubles as a boot
-    /// barrier: every peer is up and reachable.
-    pub fn verify_registration(&self, timeout: Duration) -> Result<(), RuntimeError> {
-        let ours = self.localities[0].actions.order_hash();
-        let Some(topo) = &self.config.topology else {
-            for l in &self.localities {
-                let theirs = l.actions.order_hash();
-                if theirs != ours {
-                    return Err(RuntimeError::RegistrationMismatch {
-                        peer: l.id,
-                        ours,
-                        theirs,
-                    });
-                }
-            }
-            self.control.peers_connected.store(
-                self.num_localities.saturating_sub(1) as u64,
-                Ordering::Release,
-            );
-            return Ok(());
-        };
-        let port = &self.local(topo.rank).port;
-        let n = self.num_localities;
-        let deadline = std::time::Instant::now() + timeout;
-        // Record our hash so the control handler can answer peers that
-        // are still waiting after we complete: without this, a peer all
-        // of whose early announcements were dropped by the reliable
-        // layer's give-up would hang once we stop broadcasting below
-        // (asymmetric completion).
-        *self.control.announced.lock() = Some((topo.rank, ours));
-        // Re-broadcast while polling: with no rendezvous round-trip
-        // (address-book boot) a peer may not have bound its listener yet,
-        // and the reliable layer gives up on undeliverable frames long
-        // before `timeout`. The exchange is idempotent, so resending
-        // until every peer has answered costs nothing and rides out any
-        // boot skew up to the full control budget.
-        let mut next_broadcast = std::time::Instant::now();
-        loop {
-            if std::time::Instant::now() >= next_broadcast {
-                for peer in 0..n {
-                    if peer != topo.rank {
-                        port.send_control(peer, reghash_payload(topo.rank, ours, true));
-                    }
-                }
-                next_broadcast = std::time::Instant::now() + Duration::from_millis(100);
-            }
-            {
-                let hashes = self.control.peer_hashes.lock();
-                if hashes.len() as u32 == n - 1 {
-                    for (&peer, &theirs) in hashes.iter() {
-                        if theirs != ours {
-                            return Err(RuntimeError::RegistrationMismatch { peer, ours, theirs });
-                        }
-                    }
-                    return Ok(());
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(RuntimeError::ControlTimeout("peer registration hashes"));
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
-
-    /// A cluster-wide barrier over the control plane: returns once every
-    /// rank has entered the same (implicitly numbered) barrier.
-    ///
-    /// Ranks must call `barrier` the same number of times in the same
-    /// order — generations are counted locally, exactly like MPI
-    /// communicator collectives. Rank 0 collects arrivals and releases
-    /// the others. In the default all-in-one mode (and for single-rank
-    /// clusters) this is a no-op. Call from a driver thread, not from
-    /// inside a single-worker scheduler task.
-    pub fn barrier(&self, timeout: Duration) -> Result<(), RuntimeError> {
-        let Some(topo) = &self.config.topology else {
-            return Ok(());
-        };
-        let n = self.num_localities;
-        if n == 1 {
-            return Ok(());
-        }
-        let gen = self.control.next_gen.fetch_add(1, Ordering::SeqCst);
-        let port = &self.local(topo.rank).port;
-        let deadline = std::time::Instant::now() + timeout;
-        if topo.rank == 0 {
-            loop {
-                let arrived = self
-                    .control
-                    .arrivals
-                    .lock()
-                    .get(&gen)
-                    .map_or(0, |s| s.len() as u32);
-                if arrived == n - 1 {
-                    break;
-                }
-                if std::time::Instant::now() >= deadline {
-                    return Err(RuntimeError::ControlTimeout("barrier arrivals"));
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            self.control.arrivals.lock().remove(&gen);
-            for peer in 1..n {
-                port.send_control(peer, barrier_release_payload(gen));
-            }
-        } else {
-            port.send_control(0, barrier_arrive_payload(topo.rank, gen));
-            loop {
-                if self.control.released.lock().remove(&gen) {
-                    break;
-                }
-                if std::time::Instant::now() >= deadline {
-                    return Err(RuntimeError::ControlTimeout("barrier release"));
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
-        Ok(())
-    }
-
     /// Delivery give-ups reaped so far (reliability enabled only): each
     /// entry is a message the reliable layer abandoned after exhausting
     /// retransmissions. Draining is destructive, like
     /// [`rpx_net::ReliablePort::take_delivery_failures`].
-    pub fn delivery_failures(&self) -> Vec<rpx_net::DeliveryError> {
+    pub fn delivery_failures(&self) -> Vec<DeliveryError> {
         // Reap synchronously too, so callers see failures even when the
         // background reaper hasn't run since the give-up.
         if let Some(rel) = &self.reliable {
             for l in &self.localities {
-                let failures = rel.reliable_port(l.id).take_delivery_failures();
-                if !failures.is_empty() {
-                    let mut dsts: Vec<u32> = failures.iter().map(|f| f.dst).collect();
-                    dsts.sort_unstable();
-                    dsts.dedup();
-                    for dst in dsts {
-                        l.lco_table.fail_dest(dst);
-                    }
-                    self.delivery_failures.lock().extend(failures);
-                }
+                let port = rel.reliable_port(l.id);
+                reap_delivery_failures(&port, &l.lco_table, &self.delivery_failures);
             }
         }
         std::mem::take(&mut self.delivery_failures.lock())
@@ -1507,27 +1017,18 @@ impl Runtime {
     /// Quiescent means two idle passes in a row: a handler that finished
     /// during the first may have sent a reply stage by stage behind it.
     fn quiesce(&self, timeout: Duration, flush: bool) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut idle_passes = 0;
-        loop {
+        let idle_pass = || {
             if flush {
                 for l in &self.localities {
                     l.port.flush_interceptors();
                 }
             }
-            if !self.busy() {
-                idle_passes += 1;
-                if idle_passes == 2 {
-                    return true;
-                }
-                continue;
-            }
-            idle_passes = 0;
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+            !self.busy()
+        };
+        poll_until(Instant::now() + timeout, Duration::from_micros(200), || {
+            (idle_pass() && idle_pass()).then_some(())
+        })
+        .is_some()
     }
 
     /// One pass over every gauge a parcel crosses, stage by stage across
@@ -1573,6 +1074,25 @@ impl Runtime {
     }
 }
 
+/// Call `check` every `period` until it yields a value, or until
+/// `deadline` passes (`None`): the wait loop behind the runtime's blocking
+/// calls, which poll because nothing notifies them.
+fn poll_until<T>(
+    deadline: Instant,
+    period: Duration,
+    mut check: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    loop {
+        if let Some(value) = check() {
+            return Some(value);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(period);
+    }
+}
+
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown();
@@ -1594,8 +1114,7 @@ mod tests {
         let co = rt
             .action("cls::co")
             .delivery(DeliveryClass::Coalesce)
-            .with_locality()
-            .register(|_here, x: u64| x);
+            .register_with_locality(|_here, x: u64| x);
         for l in &rt.localities {
             assert_eq!(l.actions.class(lossless.id()), DeliveryClass::Lossless);
             assert_eq!(l.actions.class(be.id()), DeliveryClass::BestEffort);
@@ -1649,6 +1168,54 @@ mod tests {
         assert!(rt.query(0, "/network/best-effort-dropped").is_ok());
         assert!(rt.query(0, "/parcels/coalesce-mailbox-replaced").is_ok());
         assert!(rt.query(0, "/parcels/coalesce-mailbox-flushed").is_ok());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn abandoned_requests_break_their_futures_and_are_reported_once() {
+        const REQUESTS: usize = 4;
+        let rt = Runtime::new(RuntimeConfig {
+            // A tiny retry budget so a fully dropped wire gives up fast.
+            reliability: Some(ReliabilityConfig {
+                rto_initial: Duration::from_micros(300),
+                rto_max: Duration::from_micros(600),
+                max_retries: 2,
+                ..ReliabilityConfig::default()
+            }),
+            ..RuntimeConfig::small_test()
+        });
+        let echo = rt.action("abandon::echo").register(|x: u64| x);
+        rt.inject_faults(0, Some(Arc::new(rpx_net::FaultPlan::drop_every(1))));
+        let outcomes = rt.run_on(0, move |ctx| {
+            let futures: Vec<_> = (0..REQUESTS as u64)
+                .map(|i| ctx.async_action(&echo, 1, i))
+                .collect();
+            futures
+                .into_iter()
+                .map(|f| f.get_timeout(Duration::from_secs(20)))
+                .collect::<Vec<_>>()
+        });
+        // The background reaper broke every waiter's promise: a typed
+        // failure, not a timeout.
+        for outcome in outcomes {
+            assert_eq!(
+                outcome,
+                Err(RuntimeError::Lco(rpx_lco::LcoError::BrokenPromise))
+            );
+        }
+        assert_eq!(rt.localities[0].lco_table.pending_count(), 0);
+        assert!(rt.wait_quiescent(Duration::from_secs(30)));
+        // Between them, the reaper and the synchronous reap in
+        // `delivery_failures` report each abandoned request once.
+        let reported = [rt.delivery_failures(), rt.delivery_failures()].concat();
+        let abandoned = rt.query(0, "/network/delivery-failures").unwrap();
+        assert_eq!(abandoned, CounterValue::Int(REQUESTS as i64));
+        assert_eq!(reported.len(), REQUESTS, "{reported:?}");
+        let mut seqs: Vec<u64> = reported.iter().map(|f| f.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), REQUESTS, "{reported:?}");
+        assert!(reported.iter().all(|f| f.dst == 1), "{reported:?}");
         rt.shutdown();
     }
 }

@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use rpx_counters::{CallbackCounter, CounterRegistry, CounterValue};
 use rpx_util::sync::ArcCell;
 
 use crate::fault::{FaultAction, FaultPlan, FaultStage};
@@ -36,8 +37,6 @@ use crate::transport::{NotifyFn, ReceiveHandler, TransportPort};
 /// included — so every backend reports comparable `/network/*` values.
 #[derive(Debug, Default)]
 pub struct PortStats {
-    /// Messages handed to `send`.
-    pub enqueued: AtomicU64,
     /// Messages pushed onto the wire (send cost paid).
     pub sent_messages: AtomicU64,
     /// Frame bytes pushed onto the wire.
@@ -100,6 +99,49 @@ pub struct PortStats {
     /// discarded as stale even though its twin was delivered). Corrupted
     /// frames are counted as the receiver's `decode_failures` instead.
     pub best_effort_dropped: AtomicU64,
+}
+
+/// Reads one [`PortStats`] field.
+type StatsField = fn(&PortStats) -> &AtomicU64;
+
+/// The `/network/*` counter each [`PortStats`] field is exported as.
+const NETWORK_COUNTERS: &[(&str, StatsField)] = &[
+    ("/network/messages-sent", |s| &s.sent_messages),
+    ("/network/messages-received", |s| &s.received_messages),
+    ("/network/bytes-sent", |s| &s.sent_bytes),
+    ("/network/bytes-received", |s| &s.received_bytes),
+    ("/network/decode-failures", |s| &s.decode_failures),
+    ("/network/retransmits", |s| &s.retransmits),
+    ("/network/acks-sent", |s| &s.acks_sent),
+    ("/network/duplicates-suppressed", |s| {
+        &s.duplicates_suppressed
+    }),
+    ("/network/delivery-failures", |s| &s.delivery_failures),
+    ("/network/best-effort-dropped", |s| &s.best_effort_dropped),
+    // Event-loop and shared-memory backend internals: zero on backends
+    // that do not use them.
+    ("/network/event-loop-wakeups", |s| &s.event_wakeups),
+    ("/network/event-loop-readv-batches", |s| &s.readv_batches),
+    ("/network/event-loop-writev-frames", |s| &s.writev_frames),
+    ("/network/shm-messages", |s| &s.shm_messages),
+    ("/network/shm-bytes", |s| &s.shm_bytes),
+    ("/network/shm-doorbell-wakeups", |s| &s.doorbell_wakeups),
+];
+
+impl PortStats {
+    /// Expose `port`'s statistics as `/network/*` counters in `registry`,
+    /// one counter per field.
+    pub fn register_counters(registry: &CounterRegistry, port: &Arc<dyn TransportPort>) {
+        for &(path, field) in NETWORK_COUNTERS {
+            let port = Arc::clone(port);
+            registry.register_or_replace(
+                path,
+                CallbackCounter::new(move || {
+                    CounterValue::Int(field(port.stats()).load(Ordering::Relaxed) as i64)
+                }),
+            );
+        }
+    }
 }
 
 /// How many messages one pump call processes before yielding, bounding
@@ -189,7 +231,6 @@ impl PortFront {
             "destination {} out of range",
             message.dst
         );
-        self.stats.enqueued.fetch_add(1, Ordering::Relaxed);
         self.outbound_tx
             .send(message)
             .expect("outbound channel lives as long as the port");

@@ -42,6 +42,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use rpx_agas::Gid;
+use rpx_counters::{CallbackCounter, CounterRegistry, CounterValue, LogHistogramCounter};
 use rpx_net::{Message, MessageKind, TransportPort};
 use rpx_serialize::{ArchiveReader, ArchiveWriter, WireError};
 use rpx_util::sync::{ArcCell, SlotTable};
@@ -155,7 +156,60 @@ pub struct ParcelPortStats {
     pub(crate) stale_by_src: Mutex<HashMap<u32, u64>>,
 }
 
+/// Reads one [`ParcelPortStats`] field of type `T`.
+type StatsField<T> = fn(&ParcelPortStats) -> &T;
+
+/// The counter each monotone [`ParcelPortStats`] field is exported as.
+/// Backpressure accounting goes under `/network/*` so fleet aggregation
+/// groups it with the other wire-pressure signals.
+const PARCEL_COUNTERS: &[(&str, StatsField<AtomicU64>)] = &[
+    ("/parcels/count/sent", |s| &s.parcels_sent),
+    ("/parcels/count/received", |s| &s.parcels_received),
+    ("/parcels/count/messages-sent", |s| &s.messages_sent),
+    ("/parcels/count/messages-received", |s| &s.messages_received),
+    ("/parcels/count/dropped", |s| &s.dropped),
+    ("/parcels/coalesce-mailbox-replaced", |s| {
+        &s.coalesce_mailbox_replaced
+    }),
+    ("/parcels/coalesce-mailbox-flushed", |s| {
+        &s.coalesce_mailbox_flushed
+    }),
+    ("/network/backpressure-events", |s| &s.backpressure_events),
+    ("/network/backpressure-shed", |s| &s.backpressure_shed),
+    ("/network/backpressure-blocked-ns", |s| {
+        &s.backpressure_blocked_ns
+    }),
+];
+
+/// The counter each hot-path histogram is exported as.
+const PARCEL_HISTOGRAMS: &[(&str, StatsField<Arc<LogHistogram>>)] = &[
+    ("/parcels/flush-occupancy-histogram", |s| &s.flush_occupancy),
+    ("/parcels/wire-bytes-histogram", |s| &s.wire_bytes),
+    ("/parcels/spawn-batch-histogram", |s| &s.spawn_batch),
+];
+
 impl ParcelPortStats {
+    /// Expose `port`'s statistics in `registry`: the monotone traffic
+    /// counts under `/parcels/*` (backpressure under `/network/*`) and
+    /// the three log₂ histograms.
+    pub fn register_counters(registry: &CounterRegistry, port: &Arc<ParcelPort>) {
+        for &(path, field) in PARCEL_COUNTERS {
+            let port = Arc::clone(port);
+            registry.register_or_replace(
+                path,
+                CallbackCounter::new(move || {
+                    CounterValue::Int(field(port.stats()).load(Ordering::Relaxed) as i64)
+                }),
+            );
+        }
+        for &(path, field) in PARCEL_HISTOGRAMS {
+            registry.register_or_replace(
+                path,
+                LogHistogramCounter::new(Arc::clone(field(port.stats()))),
+            );
+        }
+    }
+
     /// BestEffort parcels bound for `dst` that this port shed on its send
     /// side: at the watermark, at the global egress bound, or at pump time
     /// against a backed-up transport.

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use rpx::{CoalescingParams, CounterValue, Runtime, RuntimeConfig, TelemetryConfig};
+use rpx::{CoalescingParams, CounterValue, Runtime, RuntimeConfig, TelemetryConfig, TransportKind};
 
 fn traffic_runtime() -> (std::sync::Arc<Runtime>, rpx::CoalescingControl) {
     let rt = Runtime::new(RuntimeConfig::small_test());
@@ -203,6 +203,77 @@ fn discovery_covers_delivery_class_counters() {
         reg.discover("/parcels/coalesce-mailbox-*")
     );
     rt.shutdown();
+}
+
+/// Every `/network/*` path a fresh runtime exports, in discovery order.
+/// The benchmark harness and `repro launch`'s fleet aggregation read
+/// these by name, so a path that moves or disappears breaks them.
+const NETWORK_PATHS: [&str; 19] = [
+    "/network/acks-sent",
+    "/network/backpressure-blocked-ns",
+    "/network/backpressure-events",
+    "/network/backpressure-shed",
+    "/network/best-effort-dropped",
+    "/network/bytes-received",
+    "/network/bytes-sent",
+    "/network/decode-failures",
+    "/network/delivery-failures",
+    "/network/duplicates-suppressed",
+    "/network/event-loop-readv-batches",
+    "/network/event-loop-wakeups",
+    "/network/event-loop-writev-frames",
+    "/network/messages-received",
+    "/network/messages-sent",
+    "/network/retransmits",
+    "/network/shm-bytes",
+    "/network/shm-doorbell-wakeups",
+    "/network/shm-messages",
+];
+
+/// Every `/parcels/*` path a fresh runtime exports, in discovery order.
+const PARCEL_PATHS: [&str; 10] = [
+    "/parcels/coalesce-mailbox-flushed",
+    "/parcels/coalesce-mailbox-replaced",
+    "/parcels/count/dropped",
+    "/parcels/count/messages-received",
+    "/parcels/count/messages-sent",
+    "/parcels/count/received",
+    "/parcels/count/sent",
+    "/parcels/flush-occupancy-histogram",
+    "/parcels/spawn-batch-histogram",
+    "/parcels/wire-bytes-histogram",
+];
+
+#[test]
+fn network_and_parcel_counter_paths_are_pinned() {
+    for transport in [
+        RuntimeConfig::small_test().transport,
+        TransportKind::TcpLoopback,
+    ] {
+        let rt = Runtime::new(RuntimeConfig {
+            transport,
+            ..RuntimeConfig::small_test()
+        });
+        for l in 0..2 {
+            let reg = rt.locality(l).counters();
+            assert_eq!(reg.discover("/network/*"), NETWORK_PATHS, "locality {l}");
+            assert_eq!(reg.discover("/parcels/*"), PARCEL_PATHS, "locality {l}");
+        }
+        // One counter from each group reads live traffic.
+        let act = rt.action("ctr::pinned").register(|x: u64| x);
+        rt.run_on(0, move |ctx| {
+            let futures: Vec<_> = (0..8).map(|i| ctx.async_action(&act, 1, i)).collect();
+            ctx.wait_all(futures).unwrap();
+        });
+        assert!(rt.wait_quiescent(Duration::from_secs(10)));
+        assert_eq!(
+            rt.query(0, "/parcels/count/sent").unwrap(),
+            CounterValue::Int(8)
+        );
+        let sent = rt.query(0, "/network/messages-sent").unwrap().as_f64();
+        assert!(sent >= 1.0, "/network/messages-sent read {sent}");
+        rt.shutdown();
+    }
 }
 
 #[test]
